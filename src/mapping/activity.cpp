@@ -1,7 +1,5 @@
 #include "mapping/activity.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/math_util.h"
 
@@ -17,85 +15,34 @@ EnergyReport analytic_activity(const ConvShape& shape,
   EnergyReport report;
   report.cycles = cost.total;
 
-  if (cost.split == RowSplit::kElementGranular) {
+  if (cost.smd_duplicates > 1) {
+    // One tile; the final chunk may drive fewer duplicates but the rows
+    // remain bound (idle inputs are driven with zero), so per-cycle
+    // activity is constant.
     const Count volume = shape.kernel_volume();
-    if (cost.smd_duplicates > 1) {
-      // One tile; the final chunk may drive fewer duplicates but the rows
-      // remain bound (idle inputs are driven with zero), so per-cycle
-      // activity is constant.
-      const Count rows = checked_mul(volume, cost.smd_duplicates);
-      const Count cols =
-          checked_mul(shape.out_channels, cost.smd_duplicates);
-      report.row_activations = checked_mul(cost.total, rows);
-      report.col_reads = checked_mul(cost.total, cols);
-      report.cell_macs =
-          checked_mul(cost.total, checked_mul(volume, cols));
-      return report;
-    }
-    // im2col: AR element slices x AC column slices, per window.
-    const Count windows = shape.num_windows();
-    Count rows_per_grid = 0;   // Σ over AR tiles of bound rows
-    for (Cycles ar = 0; ar < cost.ar_cycles; ++ar) {
-      const Count first = ar * geometry.rows;
-      rows_per_grid += std::min<Count>(geometry.rows, volume - first);
-    }
-    Count cols_per_grid = 0;   // Σ over AC tiles of bound cols
-    for (Cycles ac = 0; ac < cost.ac_cycles; ++ac) {
-      const Count first = ac * geometry.cols;
-      cols_per_grid +=
-          std::min<Count>(geometry.cols, shape.out_channels - first);
-    }
-    // Every (AR, AC) pair runs once per window; rows repeat per AC tile
-    // and cols repeat per AR tile.
-    report.row_activations =
-        checked_mul(windows, checked_mul(rows_per_grid, cost.ac_cycles));
-    report.col_reads =
-        checked_mul(windows, checked_mul(cols_per_grid, cost.ar_cycles));
-    report.cell_macs =
-        checked_mul(windows, checked_mul(rows_per_grid, cols_per_grid));
+    const Count rows = checked_mul(volume, cost.smd_duplicates);
+    const Count cols = checked_mul(shape.out_channels, cost.smd_duplicates);
+    report.row_activations = checked_mul(cost.total, rows);
+    report.col_reads = checked_mul(cost.total, cols);
+    report.cell_macs = checked_mul(cost.total, checked_mul(volume, cols));
     return report;
   }
 
-  // Windowed (channel-granular) mapping.
+  // Windowed and im2col mappings (im2col: window = kernel, N_WP = 1).
+  // However the AR tiles split the window's area*IC rows and the AC tiles
+  // its N_WP*OC columns, every parallel window drives each row once per
+  // AC tile, reads each column once per AR tile, and multiplies by each
+  // of the K^2*IC*OC*N_WP programmed weights once.
   const Count n_pw = cost.n_parallel_windows;
   const Count n_wp = windows_in_pw(shape, cost.window);
-  const Count kernel_area = checked_mul(shape.kernel_w, shape.kernel_h);
-  Count rows_per_grid = 0;   // Σ over AR tiles of bound rows
-  Count weight_rows = 0;     // Σ over AR tiles of channels (for cells)
-  for (Cycles ar = 0; ar < cost.ar_cycles; ++ar) {
-    const Count first = ar * cost.ic_t;
-    const Count channels =
-        std::min<Count>(cost.ic_t, shape.in_channels - first);
-    rows_per_grid += checked_mul(cost.window.area(), channels);
-    weight_rows += channels;
-  }
-  Count cols_per_grid = 0;
-  Count weight_cols = 0;
-  for (Cycles ac = 0; ac < cost.ac_cycles; ++ac) {
-    const Count first = ac * cost.oc_t;
-    const Count out = std::min<Count>(cost.oc_t, shape.out_channels - first);
-    cols_per_grid += checked_mul(n_wp, out);
-    weight_cols += out;
-  }
+  const Count rows = checked_mul(cost.window.area(), shape.in_channels);
+  const Count cols = checked_mul(n_wp, shape.out_channels);
   report.row_activations =
-      checked_mul(n_pw, checked_mul(rows_per_grid, cost.ac_cycles));
-  report.col_reads =
-      checked_mul(n_pw, checked_mul(cols_per_grid, cost.ar_cycles));
-  // Cells per (AR, AC) tile: channels * K^2 * N_WP * out-channels.
-  Count cells_per_grid = 0;
-  for (Cycles ar = 0; ar < cost.ar_cycles; ++ar) {
-    const Count cfirst = ar * cost.ic_t;
-    const Count channels =
-        std::min<Count>(cost.ic_t, shape.in_channels - cfirst);
-    for (Cycles ac = 0; ac < cost.ac_cycles; ++ac) {
-      const Count ofirst = ac * cost.oc_t;
-      const Count out =
-          std::min<Count>(cost.oc_t, shape.out_channels - ofirst);
-      cells_per_grid += checked_mul(checked_mul(kernel_area, channels),
-                                    checked_mul(n_wp, out));
-    }
-  }
-  report.cell_macs = checked_mul(n_pw, cells_per_grid);
+      checked_mul(n_pw, checked_mul(rows, cost.ac_cycles));
+  report.col_reads = checked_mul(n_pw, checked_mul(cols, cost.ar_cycles));
+  report.cell_macs = checked_mul(
+      n_pw, checked_mul(checked_mul(shape.kernel_w, shape.kernel_h),
+                        checked_mul(shape.in_channels, cols)));
   return report;
 }
 

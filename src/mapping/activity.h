@@ -19,7 +19,7 @@ namespace vwsdk {
 /// Analytic per-execution activity of a mapping: for every scheduled cycle
 /// it accumulates the bound rows, bound columns, and programmed cells of
 /// the tile being computed.  Matches ExecutionResult::activity exactly
-/// (tested), but costs O(tiles) instead of O(MACs).
+/// (tested), but costs O(1) instead of O(MACs).
 EnergyReport analytic_activity(const ConvShape& shape,
                                const ArrayGeometry& geometry,
                                const CycleCost& cost);

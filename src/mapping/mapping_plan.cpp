@@ -1,5 +1,8 @@
 #include "mapping/mapping_plan.h"
 
+#include <map>
+#include <tuple>
+
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
@@ -27,9 +30,23 @@ Cycles MappingPlan::total_cycles() const {
 }
 
 Count MappingPlan::programmed_cells() const {
+  // The cell rule reads a column binding only through its window position
+  // and duplicate block, so columns that share both program the same
+  // rows: count those rows once per such column class and tile.
   Count total = 0;
+  std::map<std::tuple<Dim, Dim, Dim>, Count> class_cells;
   for (const ArrayTile& t : tiles) {
-    total = checked_add(total, static_cast<Count>(t.cells.size()));
+    class_cells.clear();
+    for (const ColBinding& cb : t.cols) {
+      const auto [it, fresh] =
+          class_cells.try_emplace({cb.win_py, cb.win_px, cb.dup}, 0);
+      if (fresh) {
+        for (const RowBinding& rb : t.rows) {
+          it->second += cell_weight(shape, rb, cb).has_value() ? 1 : 0;
+        }
+      }
+      total = checked_add(total, it->second);
+    }
   }
   return total;
 }

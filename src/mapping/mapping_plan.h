@@ -4,12 +4,12 @@
 /// Physical placement of a convolution onto crossbar arrays.
 ///
 /// A MappingPlan makes the analytic cost model *executable*: it spells out,
-/// for every AR x AC array programming ("tile"), exactly which weight goes
-/// into which cell, what each array row means (which input element relative
-/// to the parallel-window base), and what each array column produces (which
-/// output channel at which window position).  The functional executor
-/// (src/sim/executor.h) runs plans on real tensors; the validator
-/// (plan_validate.h) checks their structural invariants.
+/// for every AR x AC array programming ("tile"), what each array row means
+/// (which input element relative to the parallel-window base) and what
+/// each array column produces (which output channel at which window
+/// position).  The functional executor (src/sim/executor.h) runs plans on
+/// real tensors; the validator (plan_validate.h) checks their structural
+/// invariants.
 ///
 /// Coordinate conventions:
 ///  * window offsets (dy, dx) are in *padded* input pixels relative to the
@@ -19,7 +19,22 @@
 ///    win);
 ///  * `dup` identifies the SMD duplicate block (always 0 for im2col / SDK /
 ///    VW-SDK plans).
+///
+/// **The cell rule.**  A plan stores no cells: every cell follows from its
+/// row and column bindings.  Cell (rb.row, cb.col) holds the weight
+/// W[cb.oc][rb.ic][ky][kx] with
+///
+///     (ky, kx) = (rb.dy - cb.win_py * stride_h, rb.dx - cb.win_px * stride_w)
+///
+/// iff that offset lies inside the kernel and rb.dup == cb.dup; every other
+/// cell is a structural zero and stays unprogrammed.  The column for window
+/// (win_py, win_px) thus holds the kernel shifted by the window position
+/// (the "shifted and duplicated kernel" of SDK, Fig. 2(c)/(d)).  The same
+/// rule covers every PlanKind: im2col columns have window 0 and rows whose
+/// offset is the kernel coordinate itself, and SMD blocks differ in `dup`.
+/// `cell_weight` is the one implementation of the rule.
 
+#include <optional>
 #include <vector>
 
 #include "mapping/cost_model.h"
@@ -34,6 +49,8 @@ struct RowBinding {
   Dim dy = 0;      ///< vertical offset inside the parallel window
   Dim dx = 0;      ///< horizontal offset inside the parallel window
   Dim dup = 0;     ///< SMD duplicate block (0 otherwise)
+
+  bool operator==(const RowBinding&) const = default;
 };
 
 /// What one array column produces on its bitline.
@@ -43,16 +60,14 @@ struct ColBinding {
   Dim win_px = 0;  ///< kernel-window x-index inside the parallel window
   Dim win_py = 0;  ///< kernel-window y-index inside the parallel window
   Dim dup = 0;     ///< SMD duplicate block (0 otherwise)
+
+  bool operator==(const ColBinding&) const = default;
 };
 
-/// One programmed cell: the weight W[oc][ic][ky][kx] at (row, col).
-struct CellAssignment {
-  Dim row = 0;
-  Dim col = 0;
-  Dim oc = 0;
-  Dim ic = 0;
-  Dim ky = 0;
-  Dim kx = 0;
+/// Kernel coordinate of the weight one programmed cell holds.
+struct KernelOffset {
+  Dim ky = 0;  ///< kernel row
+  Dim kx = 0;  ///< kernel column
 };
 
 /// One array programming: the (ar_index, ac_index) tile of the mapping.
@@ -61,8 +76,35 @@ struct ArrayTile {
   Dim ac_index = 0;
   std::vector<RowBinding> rows;
   std::vector<ColBinding> cols;
-  std::vector<CellAssignment> cells;
 };
+
+/// The cell rule (see the file comment): the kernel offset the cell at
+/// (rb.row, cb.col) holds, or nullopt for a structural zero.
+inline std::optional<KernelOffset> cell_weight(const ConvShape& shape,
+                                               const RowBinding& rb,
+                                               const ColBinding& cb) {
+  const Dim ky = rb.dy - cb.win_py * shape.stride_h;
+  const Dim kx = rb.dx - cb.win_px * shape.stride_w;
+  if (rb.dup != cb.dup || ky < 0 || ky >= shape.kernel_h || kx < 0 ||
+      kx >= shape.kernel_w) {
+    return std::nullopt;
+  }
+  return KernelOffset{ky, kx};
+}
+
+/// Calls `fn(row_binding, col_binding, kernel_offset)` for every programmed
+/// cell of `tile`, column by column in binding order, rows in binding
+/// order within a column.
+template <typename Fn>
+void for_each_cell(const ConvShape& shape, const ArrayTile& tile, Fn&& fn) {
+  for (const ColBinding& cb : tile.cols) {
+    for (const RowBinding& rb : tile.rows) {
+      if (const std::optional<KernelOffset> k = cell_weight(shape, rb, cb)) {
+        fn(rb, cb, *k);
+      }
+    }
+  }
+}
 
 /// Flavor of plan layout.
 enum class PlanKind {
@@ -97,7 +139,7 @@ struct MappingPlan {
   /// base-grid positions (or SMD chunks) x tiles.
   Cycles total_cycles() const;
 
-  /// Total programmed cells across all tiles.
+  /// Total programmed cells across all tiles (derived by the cell rule).
   Count programmed_cells() const;
 };
 

@@ -3,8 +3,10 @@
 /// @file plan_builder.h
 /// Construction of executable MappingPlans from analytic mapping choices.
 ///
-/// Layout conventions (documented here once, asserted by plan_validate,
-/// relied on by the executor):
+/// Builders emit only row and column bindings; which cells hold which
+/// weight follows from them by the cell rule of mapping_plan.h.  Layout
+/// conventions (documented here once, asserted by plan_validate, relied on
+/// by the executor):
 ///
 /// **Windowed plans** (SDK and VW-SDK; Fig. 2(c)/(d) of the paper).
 /// For AR tile `i` (channels [i*IC_t, ...)) and AC tile `j` (output
@@ -15,22 +17,23 @@
 ///        col = o * N_WP + wy * WIP_w + wx
 ///    (all windows of one output channel sit on adjacent bitlines, the
 ///    "shifted and duplicated kernel" group);
-///  * cell (row, col) holds W[oc][ic][ky][kx] iff the row's window offset
-///    matches the column's window position: dy = wy*stride + ky and
-///    dx = wx*stride + kx.  Offsets that match no kernel element stay
-///    unprogrammed -- these are the structural zeros that make SDK
+///  * by the cell rule, a window column leaves unprogrammed the offsets
+///    that match no kernel element -- the structural zeros that make SDK
 ///    utilization interesting.
 ///
 /// **im2col plans** (Fig. 2(a)).  The kernel column is flattened in
 /// im2col_row_index order (ic-major, then ky, kx) and split across AR
 /// tiles at *element* granularity: AR tile i holds flat indices
-/// [i*rows, (i+1)*rows).  Column j*cols + o computes output channel
-/// j*cols + o.  PW = kernel, one window per cycle.
+/// [i*rows, (i+1)*rows), each row's offset (dy, dx) being its kernel
+/// coordinate.  Column j*cols + o computes output channel j*cols + o at
+/// window 0.  PW = kernel, one window per cycle.
 ///
 /// **SMD plans** (Fig. 2(b)).  D = cost.smd_duplicates block-diagonal
 /// copies of the im2col matrix; duplicate d occupies rows
-/// [d*K^2*IC, ...) and columns [d*OC, ...).  Each cycle processes up to D
-/// consecutive kernel windows (row-major over the output grid).
+/// [d*K^2*IC, ...) and columns [d*OC, ...), all bound with dup = d, so
+/// the cell rule programs no cell across two blocks.  Each cycle
+/// processes up to D consecutive kernel windows (row-major over the output
+/// grid).
 /// Requires D*K^2*IC <= rows (guaranteed by smd_cost for D >= 2;
 /// for D == 1 the im2col plan is returned instead).
 

@@ -6,20 +6,29 @@
 /// A valid plan satisfies, per tile:
 ///  * all rows/columns lie inside the array geometry;
 ///  * row / column binding indices are unique;
-///  * no cell is assigned twice (collision = two weights in one device);
-///  * every cell is consistent with its row and column bindings: the
-///    row's window offset equals the column's window position times the
-///    stride plus the cell's kernel coordinate, the channels match, and
-///    SMD duplicate indices agree;
-///  * kernel coordinates are within the kernel extent;
+///  * a row key (ic, dy, dx, dup) is bound at most once, names a channel
+///    and duplicate of the layer, and its offset lies inside the parallel
+///    window (the kernel for im2col / SMD plans);
+///  * a column key (oc, win_py, win_px, dup) is bound at most once, names
+///    a channel and duplicate of the layer, and its window index lies
+///    inside the parallel window;
 /// and globally:
+///  * tile (ar, ac) sits at position ar * AC + ac; the tiles of one AR band
+///    share their row bindings and those of one AC band their column
+///    bindings (the executor sums an AC band's partial sums by column);
 ///  * each input channel appears in exactly one AR tile band (windowed
-///    plans) or each flattened kernel element in exactly one AR tile
-///    (im2col plans);
-///  * each output channel appears in exactly one AC tile band;
+///    plans) or each flattened window / kernel element in exactly one AR
+///    tile (element-split, im2col and SMD plans);
+///  * each output channel (or, element-split, each output column) appears
+///    in exactly one AC tile band;
 ///  * the parallel-window base grid covers every kernel window of the
 ///    layer at least once;
 ///  * the realized cycle count equals the analytic cost.
+///
+/// Cells are not checked: a plan stores none, and the cell rule of
+/// mapping_plan.h derives each from its bindings.  The executor-vs-
+/// reference oracle and Crossbar::program's double-programming guard
+/// remain the independent gates on what the rule programs.
 
 #include <string>
 #include <vector>

@@ -74,11 +74,13 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   arrays.reserve(plan.tiles.size());
   for (const ArrayTile& tile : plan.tiles) {
     Crossbar array(plan.geometry);
-    for (const CellAssignment& cell : tile.cells) {
-      array.program(cell.row, cell.col,
-                    weights.at(cell.oc, cell.ic, cell.ky, cell.kx),
-                    noise.has_value() ? &*noise : nullptr);
-    }
+    for_each_cell(shape, tile,
+                  [&](const RowBinding& rb, const ColBinding& cb,
+                      KernelOffset k) {
+                    array.program(rb.row, cb.col,
+                                  weights.at(cb.oc, rb.ic, k.ky, k.kx),
+                                  noise.has_value() ? &*noise : nullptr);
+                  });
     arrays.push_back(std::move(array));
   }
 
@@ -104,13 +106,13 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
 
   const auto run_cycle = [&](const ArrayTile& tile, Count tile_index,
                              const std::vector<double>& input) {
+    const Crossbar& array = arrays[static_cast<std::size_t>(tile_index)];
     ++result.cycles;
     result.activity.cycles += 1;
     result.activity.row_activations += static_cast<Count>(tile.rows.size());
     result.activity.col_reads += static_cast<Count>(tile.cols.size());
-    result.activity.cell_macs += static_cast<Count>(tile.cells.size());
-    return arrays[static_cast<std::size_t>(tile_index)].compute(input,
-                                                                options.adc);
+    result.activity.cell_macs += array.programmed_cell_count();
+    return array.compute(input, options.adc);
   };
 
   if (plan.kind == PlanKind::kSmd) {

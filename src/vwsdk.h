@@ -82,7 +82,6 @@
 #include "sim/latency_model.h"
 #include "sim/pipeline.h"
 #include "sim/reuse.h"
-#include "sim/schedule.h"
 #include "sim/traffic.h"
 #include "sim/verifier.h"
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "mapping/plan_builder.h"
@@ -17,22 +18,18 @@ MappingPlan good_plan() {
   return build_plan_for_window(shape, kSmall, {4, 3});
 }
 
+bool has_issue(const MappingPlan& plan, const std::string& text) {
+  for (const std::string& issue : validate_plan(plan)) {
+    if (issue.find(text) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(PlanValidate, BuilderOutputsAreValid) {
   EXPECT_TRUE(validate_plan(good_plan()).empty());
   EXPECT_NO_THROW(expect_valid(good_plan()));
-}
-
-TEST(PlanValidate, DetectsCellCollision) {
-  MappingPlan plan = good_plan();
-  plan.tiles[0].cells.push_back(plan.tiles[0].cells.front());
-  const auto issues = validate_plan(plan);
-  ASSERT_FALSE(issues.empty());
-  bool found = false;
-  for (const std::string& issue : issues) {
-    found = found || issue.find("assigned twice") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
-  EXPECT_THROW(expect_valid(plan), InternalError);
 }
 
 TEST(PlanValidate, DetectsRowOutsideArray) {
@@ -53,31 +50,79 @@ TEST(PlanValidate, DetectsDuplicateRowBinding) {
   EXPECT_TRUE(found);
 }
 
-TEST(PlanValidate, DetectsGeometryBreak) {
+TEST(PlanValidate, DetectsDuplicateRowKey) {
   MappingPlan plan = good_plan();
-  // Corrupt a cell's kernel coordinate: offset equation dy = wy*s + ky
-  // no longer holds.
-  plan.tiles[0].cells.front().ky += 1;
-  bool found = false;
-  for (const std::string& issue : validate_plan(plan)) {
-    found = found || issue.find("geometry broken") != std::string::npos ||
-            issue.find("assigned twice") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  // A second row carrying the first row's (ic, dy, dx, dup) on a free
+  // row index: every row index stays unique, the key does not.
+  RowBinding twin = plan.tiles[0].rows.front();
+  twin.row = static_cast<Dim>(plan.tiles[0].rows.size());
+  ASSERT_LT(twin.row, kSmall.rows);
+  plan.tiles[0].rows.push_back(twin);
+  EXPECT_TRUE(has_issue(plan, "row key (0,0,0,0) bound twice"));
+  EXPECT_FALSE(has_issue(plan, "duplicate row binding"));
+  EXPECT_THROW(expect_valid(plan), InternalError);
+}
+
+TEST(PlanValidate, DetectsRowOffsetOutsideWindow) {
+  MappingPlan plan = good_plan();
+  // The 4x3 window's offsets are dx in [0, 4), dy in [0, 3).
+  plan.tiles[0].rows.front().dx = 4;
+  EXPECT_TRUE(has_issue(plan, "row key (0,0,4,0) outside the layer or the "
+                              "4x3 window"));
+  // SMD rows range over the 3x3 kernel.
+  plan = build_smd_plan(ConvShape::square(6, 3, 1, 2), kSmall);
+  ASSERT_EQ(plan.kind, PlanKind::kSmd);
+  plan.tiles[0].rows.front().dy = 3;
+  EXPECT_TRUE(has_issue(plan, "the 3x3 window"));
+}
+
+TEST(PlanValidate, DetectsDuplicateColumnKey) {
+  MappingPlan plan = good_plan();
+  ColBinding twin = plan.tiles[0].cols.front();
+  twin.col = static_cast<Dim>(plan.tiles[0].cols.size());
+  ASSERT_LT(twin.col, kSmall.cols);
+  plan.tiles[0].cols.push_back(twin);
+  EXPECT_TRUE(has_issue(plan, "col key (0,0,0,0) bound twice"));
+  EXPECT_FALSE(has_issue(plan, "duplicate col binding"));
+}
+
+TEST(PlanValidate, DetectsColumnKeyOutsideLayerOrWindow) {
+  MappingPlan plan = good_plan();
+  // A 4x3 window holds 2x1 kernel windows: win_px in [0, 2).
+  plan.tiles[0].cols.front().win_px = 2;
+  EXPECT_TRUE(has_issue(plan, "col key (0,0,2,0) outside"));
+  plan = build_smd_plan(ConvShape::square(6, 3, 1, 2), kSmall);
+  plan.tiles[0].cols.front().dup = plan.cost.smd_duplicates;
+  EXPECT_TRUE(has_issue(plan, "col key (0,0,0,7) outside"));
+}
+
+TEST(PlanValidate, DetectsBandBindingsThatDifferAcrossTiles) {
+  // 9 IC x 40 OC with a 4x3 window: AR = 2 channel bands, AC = 3.
+  const ConvShape shape = ConvShape::square(8, 3, 9, 40);
+  const MappingPlan good = build_plan_for_window(shape, kSmall, {4, 3});
+  ASSERT_EQ(good.tiles.size(), 6u);
+  ASSERT_TRUE(validate_plan(good).empty());
+
+  MappingPlan plan = good;
+  plan.tiles[1].rows.pop_back();  // tile(0,1) drops a row tile(0,0) binds
+  EXPECT_TRUE(
+      has_issue(plan, "tile(0,1): row bindings differ from tile(0,0)"));
+  plan = good;
+  plan.tiles[5].cols.front().oc += 1;  // tile(1,2) vs tile(0,2)
+  EXPECT_TRUE(
+      has_issue(plan, "tile(1,2): col bindings differ from tile(0,2)"));
+  plan = good;
+  std::swap(plan.tiles[0], plan.tiles[1]);
+  EXPECT_TRUE(has_issue(plan, "tile(0,1) stored at position (0,0)"));
 }
 
 TEST(PlanValidate, DetectsChannelDroppedFromCoverage) {
   MappingPlan plan = good_plan();
-  // Remove every row binding of channel 2 (and its cells).
+  // Remove every row binding of channel 2.
   auto& rows = plan.tiles[0].rows;
   rows.erase(std::remove_if(rows.begin(), rows.end(),
                             [](const RowBinding& rb) { return rb.ic == 2; }),
              rows.end());
-  auto& cells = plan.tiles[0].cells;
-  cells.erase(
-      std::remove_if(cells.begin(), cells.end(),
-                     [](const CellAssignment& c) { return c.ic == 2; }),
-      cells.end());
   bool found = false;
   for (const std::string& issue : validate_plan(plan)) {
     found = found || issue.find("input row entity 2 not mapped") !=
@@ -92,11 +137,6 @@ TEST(PlanValidate, DetectsOutputChannelMissing) {
   cols.erase(std::remove_if(cols.begin(), cols.end(),
                             [](const ColBinding& cb) { return cb.oc == 5; }),
              cols.end());
-  auto& cells = plan.tiles[0].cells;
-  cells.erase(
-      std::remove_if(cells.begin(), cells.end(),
-                     [](const CellAssignment& c) { return c.oc == 5; }),
-      cells.end());
   bool found = false;
   for (const std::string& issue : validate_plan(plan)) {
     found = found || issue.find("output column entity 5 not mapped") !=

@@ -14,8 +14,11 @@
 #include "common/error.h"
 #include "common/string_util.h"
 #include "core/serialize.h"
+#include "mapping/activity.h"
+#include "mapping/plan_builder.h"
 #include "nn/network_spec.h"
 #include "pim/array_geometry.h"
+#include "sim/executor.h"
 
 namespace vwsdk {
 namespace {
@@ -260,6 +263,42 @@ TEST(Service, OverflowScaleLayerYieldsStructuredErrorNotNegativeTotal) {
   chip.arrays_per_chip = 64;
   EXPECT_THROW((void)api.chip(chip), Overflow);
   std::remove(path.c_str());
+}
+
+// SDK maps entire channels (IC_t = IC) and splits a window's rows over AR
+// tiles at element granularity.  Scoring such a cost by energy must work
+// at AR = 3, and the analytic activity must equal the executed plan's.
+TEST(Service, SdkEnergyMapsElementSplitLayers) {
+  const std::string path = cat(::testing::TempDir(), "k7_spec.json");
+  {
+    std::ofstream os(path);
+    os << R"({"name": "k7", "layers": [{"name": "c1", "image": 32,)"
+       << R"( "kernel": 7, "ic": 24, "oc": 64}]})";
+  }
+  ServiceApi api(1);
+  MapQuery query;
+  query.net = path;
+  query.mapper = "sdk";
+  query.objective = "energy";
+  const NetworkMappingResult result = api.map(query);
+  std::remove(path.c_str());
+  ASSERT_EQ(result.layers.size(), 1u);
+  const MappingDecision& decision = result.layers.front().decision;
+  ASSERT_EQ(decision.cost.ar_cycles, 3);
+
+  // Activity does not depend on the tensor values: zeros will do.
+  const ConvShape& shape = decision.shape;
+  const ExecutionResult executed = execute_plan(
+      build_plan_for_cost(shape, decision.geometry, decision.cost),
+      Tensord::feature_map(shape.in_channels, shape.ifm_h, shape.ifm_w),
+      Tensord::weights(shape.out_channels, shape.in_channels, shape.kernel_h,
+                       shape.kernel_w));
+  const EnergyReport analytic =
+      analytic_activity(shape, decision.geometry, decision.cost);
+  EXPECT_EQ(executed.activity.cycles, analytic.cycles);
+  EXPECT_EQ(executed.activity.row_activations, analytic.row_activations);
+  EXPECT_EQ(executed.activity.col_reads, analytic.col_reads);
+  EXPECT_EQ(executed.activity.cell_macs, analytic.cell_macs);
 }
 
 TEST(Service, StatsLinesFormatTheFragment) {

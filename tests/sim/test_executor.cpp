@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 #include "mapping/plan_builder.h"
 #include "sim/latency_model.h"
@@ -52,19 +54,31 @@ TEST(Executor, ActivityMatchesAnalyticActivity) {
 }
 
 TEST(Executor, AnalyticActivityMatchesForIm2colAndSmd) {
+  std::vector<MappingPlan> plans;
   for (const ConvShape& shape :
        {ConvShape::square(6, 3, 8, 10),    // im2col with AR split
         ConvShape::square(6, 3, 1, 2)}) {  // SMD with duplicates
-    for (const MappingPlan& plan :
-         {build_im2col_plan(shape, kSmall), build_smd_plan(shape, kSmall)}) {
-      const auto [ifm, weights] = sample_tensors(plan.shape, 3);
-      const ExecutionResult result = execute_plan(plan, ifm, weights);
-      const EnergyReport analytic =
-          analytic_activity(plan.shape, plan.geometry, plan.cost);
-      EXPECT_EQ(result.activity.row_activations, analytic.row_activations);
-      EXPECT_EQ(result.activity.col_reads, analytic.col_reads);
-      EXPECT_EQ(result.activity.cell_macs, analytic.cell_macs);
-    }
+    plans.push_back(build_im2col_plan(shape, kSmall));
+    plans.push_back(build_smd_plan(shape, kSmall));
+  }
+  // SDK's entire-channel 8x8 window of a 7x7 layer split at element
+  // granularity over AR = 3 slices (IC_t = IC, so a per-channel tile walk
+  // runs out of channels after the first slice).
+  const ConvShape k7 = ConvShape::square(32, 7, 24, 64);
+  const ArrayGeometry paper{512, 512};
+  plans.push_back(
+      build_element_split_plan(k7, paper, sdk_cost(k7, paper, {8, 8})));
+  ASSERT_EQ(plans.back().cost.ar_cycles, 3);
+  ASSERT_EQ(plans.back().cost.total, 507);
+
+  for (const MappingPlan& plan : plans) {
+    const auto [ifm, weights] = sample_tensors(plan.shape, 3);
+    const ExecutionResult result = execute_plan(plan, ifm, weights);
+    const EnergyReport analytic =
+        analytic_activity(plan.shape, plan.geometry, plan.cost);
+    EXPECT_EQ(result.activity.row_activations, analytic.row_activations);
+    EXPECT_EQ(result.activity.col_reads, analytic.col_reads);
+    EXPECT_EQ(result.activity.cell_macs, analytic.cell_macs);
   }
 }
 
