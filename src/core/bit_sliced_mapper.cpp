@@ -3,6 +3,7 @@
 #include "common/error.h"
 #include "common/string_util.h"
 #include "core/mapper_registry.h"
+#include "core/window_scan.h"
 
 namespace vwsdk {
 
@@ -26,30 +27,29 @@ MappingDecision BitSlicedVwSdkMapper::map(
                 cat("vw-sdk-bitsliced can score the '", objective.name(),
                     "' objective only with the default 1-slice/1-step "
                     "config (the activity model is slicing-unaware)"));
-  const ConvShape& shape = context.shape;
-  const ArrayGeometry& geometry = context.geometry;
+  VWSDK_REQUIRE(context.geometry.cols >= config_.slices(),
+                cat("vw-sdk-bitsliced needs at least ", config_.slices(),
+                    " array columns for one weight's slices; the array has ",
+                    context.geometry.cols));
 
-  MappingDecision decision;
+  // The scan minimizes bit-sliced cycles, sequentially; the caller's
+  // trace still records it.
+  MappingContext cycles_scan = context;
+  cycles_scan.objective = &cycles_objective();
+  cycles_scan.pool = nullptr;
+  MappingDecision decision = scan_windows(
+      cycles_scan,
+      WindowScan{[this](const ConvShape& shape, const ArrayGeometry& geometry) {
+                   return im2col_cost_bitsliced(shape, geometry, config_);
+                 },
+                 [this](const ConvShape& shape, const ArrayGeometry& geometry,
+                        const ParallelWindow& pw) {
+                   return vw_cost_bitsliced(shape, geometry, pw, config_);
+                 }});
   decision.algorithm = name();
   decision.objective = objective.name();
-  decision.shape = shape;
-  decision.geometry = geometry;
-  decision.cost = im2col_cost_bitsliced(shape, geometry, config_);
-
-  for (Dim h = shape.kernel_h; h <= shape.padded_h(); h += shape.stride_h) {
-    for (Dim w = shape.kernel_w; w <= shape.padded_w();
-         w += shape.stride_w) {
-      if (w == shape.kernel_w && h == shape.kernel_h) {
-        continue;
-      }
-      const CycleCost candidate =
-          vw_cost_bitsliced(shape, geometry, {w, h}, config_);
-      if (candidate.feasible && decision.cost.total > candidate.total) {
-        decision.cost = candidate;
-      }
-    }
-  }
-  decision.score = objective.score(shape, geometry, decision.cost);
+  decision.score =
+      objective.score(context.shape, context.geometry, decision.cost);
   return decision;
 }
 

@@ -39,7 +39,7 @@ MappingDecision ExhaustiveMapper::map(const MappingContext& context) const {
 
   if (context.pool != nullptr && context.pool->size() > 1) {
     const std::vector<CycleCost> costs =
-        vw_costs(shape, geometry, windows, context.pool);
+        window_costs(shape, geometry, windows, vw_cost, context.pool);
     const std::vector<double> scores =
         score_costs(objective, shape, geometry, costs, *context.pool);
     for (std::size_t i = 0; i < costs.size(); ++i) {

@@ -41,8 +41,10 @@ struct MappingContext {
   /// themselves do not consult it.
   MappingCache* cache = nullptr;
 
-  /// When non-null, search mappers record every candidate visited, in
-  /// scan order (see core/search_trace.h).
+  /// When non-null, the mappers built on the window-scan engine
+  /// (core/window_scan.h: vw-sdk, vw-sdk-pruned, vw-sdk-bitsliced)
+  /// record every candidate they evaluate, in scan order (see
+  /// core/search_trace.h).  The exhaustive oracle does not record.
   SearchTrace* trace = nullptr;
 
   MappingContext() = default;

@@ -6,35 +6,17 @@
 /// paper's scan is already cheap, but a deployment flow optimizing
 /// thousands of layers appreciates the ~10x).
 ///
-/// Safe prunes, all preserving exactness (property-tested against
-/// VwSdkMapper over a layer/array sweep):
-///  1. Row-infeasibility horizon: for a fixed height h, once the window
-///     area exceeds the array rows (IC_t = 0), every wider window is also
-///     infeasible -> break the inner loop; if even width K_w is
-///     row-infeasible at height h, every taller h is too -> stop.
-///  2. Column-infeasibility horizon: N_WP grows with width, so once
-///     N_WP > cols (OC_t = 0) wider windows stay infeasible -> break.
-///  3. Lower-bound cut: cycles >= N_PW (AR, AC >= 1), and N_PW shrinks as
-///     the window grows; evaluating the cheap N_PW before the full cost
-///     skips candidates that cannot beat the incumbent.
-///
-/// Prunes 1 and 2 are feasibility facts, valid under every objective.
-/// Prune 3 reasons about raw cycle counts, so it only fires when the
-/// context's objective declares `cycle_lower_bound_admissible()`; under
+/// It is the window-scan engine (core/window_scan.h) with `prune` set:
+/// the row and column infeasibility horizons, valid under every
+/// objective, and the N_PW lower-bound cut, which fires only under an
+/// objective declaring `cycle_lower_bound_admissible()` (under
 /// energy/EDP the mapper degrades to the feasibility prunes and stays
-/// exact.
+/// exact).  Exactness is property-tested against VwSdkMapper over a
+/// layer/array sweep; the trace records only the candidates evaluated.
 
 #include "core/mapping_decision.h"
 
 namespace vwsdk {
-
-/// Statistics of one pruned search (for the perf bench and tests).
-struct PruneStats {
-  Count evaluated = 0;  ///< full cost evaluations performed
-  Count lb_skipped = 0; ///< candidates cut by the N_PW lower bound
-  Count row_breaks = 0; ///< inner loops ended by prune 1
-  Count col_breaks = 0; ///< inner loops ended by prune 2
-};
 
 /// Exact-result pruned implementation of Algorithm 1.
 class PrunedVwSdkMapper final : public Mapper {
@@ -43,15 +25,6 @@ class PrunedVwSdkMapper final : public Mapper {
 
   std::string name() const override { return "vw-sdk-pruned"; }
   MappingDecision map(const MappingContext& context) const override;
-
-  /// As the two-argument map(), also reporting pruning statistics.
-  MappingDecision map_with_stats(const ConvShape& shape,
-                                 const ArrayGeometry& geometry,
-                                 PruneStats* stats) const;
-
- private:
-  MappingDecision map_impl(const MappingContext& context,
-                           PruneStats* stats) const;
 };
 
 }  // namespace vwsdk

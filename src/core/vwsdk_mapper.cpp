@@ -1,87 +1,15 @@
 #include "core/vwsdk_mapper.h"
 
-#include <vector>
-
-#include "common/thread_pool.h"
 #include "core/mapper_registry.h"
+#include "core/window_scan.h"
 
 namespace vwsdk {
 
 MappingDecision VwSdkMapper::map(const MappingContext& context) const {
-  context.validate();
-  const Objective& objective = context.scoring();
-  const ConvShape& shape = context.shape;
-  const ArrayGeometry& geometry = context.geometry;
-
-  MappingDecision decision;
+  MappingDecision decision =
+      scan_windows(context, WindowScan{im2col_cost, vw_cost});
   decision.algorithm = name();
-  decision.objective = objective.name();
-  decision.shape = shape;
-  decision.geometry = geometry;
-  // Step 1 of Algorithm 1: initialize with im2col.
-  decision.cost = im2col_cost(shape, geometry);
-  decision.score = objective.score(shape, geometry, decision.cost);
-
-  // Steps 2-16: every candidate in scan order (PW_h outer, PW_w inner),
-  // skipping the kernel window the initialization covers.  With a pool,
-  // costs may be *computed* out of order across workers; the reduction
-  // below is always sequential in scan order, so the first-minimum
-  // tie-break and the recorded trace are identical to the
-  // single-threaded scan.  Without a pool, costs stream one candidate
-  // at a time (no whole-scan cost buffer).
-  const std::vector<ParallelWindow> windows =
-      enumerate_windows(shape, /*include_kernel=*/false);
-
-  // `candidate_score` is the objective score of a feasible candidate
-  // (0.0 for infeasible ones); precomputed by the caller so the pooled
-  // path can evaluate scores in parallel too.
-  const auto consider = [&](const ParallelWindow& pw,
-                            const CycleCost& candidate,
-                            double candidate_score) {
-    // The strict comparison keeps the first minimum.
-    const bool improved =
-        candidate.feasible &&
-        objective.better(candidate_score, decision.score);
-    if (context.trace != nullptr) {
-      context.trace->record(SearchStep{pw, candidate.feasible,
-                                       candidate.feasible ? candidate.total
-                                                          : 0,
-                                       improved, candidate_score});
-    }
-    if (improved) {
-      decision.cost = candidate;
-      decision.score = candidate_score;
-    }
-  };
-
-  if (context.pool != nullptr && context.pool->size() > 1) {
-    const std::vector<CycleCost> costs =
-        vw_costs(shape, geometry, windows, context.pool);
-    const std::vector<double> scores =
-        score_costs(objective, shape, geometry, costs, *context.pool);
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-      consider(windows[i], costs[i], scores[i]);
-    }
-  } else {
-    for (const ParallelWindow& pw : windows) {
-      const CycleCost candidate = vw_cost(shape, geometry, pw);
-      consider(pw, candidate,
-               candidate.feasible
-                   ? objective.score(shape, geometry, candidate)
-                   : 0.0);
-    }
-  }
   return decision;
-}
-
-MappingDecision VwSdkMapper::map_traced(const ConvShape& shape,
-                                        const ArrayGeometry& geometry,
-                                        SearchTrace* trace,
-                                        ThreadPool* pool) const {
-  MappingContext context{shape, geometry};
-  context.trace = trace;
-  context.pool = pool;
-  return map(context);
 }
 
 namespace detail {

@@ -3,23 +3,18 @@
 /// @file vwsdk_mapper.h
 /// VW-SDK: the paper's Algorithm 1, generalized over search objectives.
 ///
-/// Initialize the incumbent with the im2col mapping, then scan every
-/// parallel-window shape (PW_w, PW_h) with PW_h = K_h .. I_h (outer loop)
-/// and PW_w = K_w .. I_w (inner loop), skipping (K_w, K_h) itself (that is
-/// the im2col initialization), evaluating the channel-tiled cost of
-/// Eq. (8) and keeping the *first* candidate strictly better under the
-/// context's objective.  With the default cycles objective this is
-/// exactly the paper's minimum-cycles scan, bit for bit.
+/// The mapper is the plain configuration of the window-scan engine
+/// (core/window_scan.h): im2col initialization, the channel-tiled cost
+/// of Eq. (8) per candidate, and the first strictly better candidate
+/// under the context's objective wins.  With the default cycles
+/// objective this is exactly the paper's minimum-cycles scan, bit for
+/// bit.
 ///
 /// The first-minimum tie-break is observable in the paper's own results:
 /// VGG-13 conv5 reports a 4x3 window although 4x4 ties it at 5832 cycles;
 /// 4x3 is visited first.  Our tests pin this behaviour.
-///
-/// Stride extension: candidate extents advance in stride steps so every
-/// candidate is admissible; with stride 1 this is exactly Algorithm 1.
 
 #include "core/mapping_decision.h"
-#include "core/search_trace.h"
 
 namespace vwsdk {
 
@@ -31,21 +26,10 @@ class VwSdkMapper final : public Mapper {
   std::string name() const override { return "vw-sdk"; }
 
   /// Algorithm 1 under `context`: candidates are scored by
-  /// `context.scoring()`, optionally evaluated over `context.pool`
-  /// (costs may be *computed* out of order; the reduction is always
-  /// sequential in scan order, so the first-minimum tie-break and the
-  /// recorded `context.trace` are identical to the single-threaded
-  /// scan), and every candidate is recorded into `context.trace` when
-  /// one is given.
+  /// `context.scoring()`, evaluated over `context.pool` when it has more
+  /// than one worker (the decision and trace do not depend on it), and
+  /// recorded into `context.trace` when one is given.
   MappingDecision map(const MappingContext& context) const override;
-
-  /// Compatibility shim: as the two-argument map(), recording every
-  /// candidate into `trace` (pass nullptr to skip recording) and
-  /// optionally evaluating candidates over `pool`.
-  MappingDecision map_traced(const ConvShape& shape,
-                             const ArrayGeometry& geometry,
-                             SearchTrace* trace,
-                             ThreadPool* pool = nullptr) const;
 };
 
 }  // namespace vwsdk

@@ -141,15 +141,16 @@ constexpr std::size_t kMinCandidatesForParallel = 512;
 
 }  // namespace
 
-std::vector<CycleCost> vw_costs(const ConvShape& shape,
-                                const ArrayGeometry& geometry,
-                                const std::vector<ParallelWindow>& windows,
-                                ThreadPool* pool) {
+std::vector<CycleCost> window_costs(const ConvShape& shape,
+                                    const ArrayGeometry& geometry,
+                                    const std::vector<ParallelWindow>& windows,
+                                    const WindowCostFn& cost,
+                                    ThreadPool* pool) {
   std::vector<CycleCost> costs(windows.size());
   const auto evaluate_range = [&](Count begin, Count end) {
     for (Count i = begin; i < end; ++i) {
       const auto index = static_cast<std::size_t>(i);
-      costs[index] = vw_cost(shape, geometry, windows[index]);
+      costs[index] = cost(shape, geometry, windows[index]);
     }
   };
   if (pool != nullptr && pool->size() > 1 &&

@@ -30,6 +30,7 @@
 ///    cycles = ceil(N_windows / D) * AR * AC (AR/AC as im2col; D >= 2
 ///    implies AR = AC = 1 by construction).
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,14 +96,20 @@ CycleCost vw_cost(const ConvShape& shape, const ArrayGeometry& geometry,
 /// Sub-matrix duplication cost (ref [6]).
 CycleCost smd_cost(const ConvShape& shape, const ArrayGeometry& geometry);
 
-/// vw_cost() of every window in `windows` (same indexing).  With a pool
-/// of more than one worker and a candidate set large enough to amortize
-/// the fan-out, evaluation is spread over the pool in contiguous chunks;
-/// the result is index-aligned and therefore independent of scheduling.
+/// The cost of one candidate window under some cost model: vw_cost, or a
+/// variant bound to extra parameters (vw_cost_bitsliced and its config).
+using WindowCostFn = std::function<CycleCost(
+    const ConvShape&, const ArrayGeometry&, const ParallelWindow&)>;
+
+/// `cost` of every window in `windows` (same indexing).  With a pool of
+/// more than one worker and a candidate set large enough to amortize the
+/// fan-out, evaluation is spread over the pool in contiguous chunks; the
+/// result is index-aligned and therefore independent of scheduling.
 /// Must not be called from a task already running on `pool`.
-std::vector<CycleCost> vw_costs(const ConvShape& shape,
-                                const ArrayGeometry& geometry,
-                                const std::vector<ParallelWindow>& windows,
-                                ThreadPool* pool = nullptr);
+std::vector<CycleCost> window_costs(const ConvShape& shape,
+                                    const ArrayGeometry& geometry,
+                                    const std::vector<ParallelWindow>& windows,
+                                    const WindowCostFn& cost,
+                                    ThreadPool* pool = nullptr);
 
 }  // namespace vwsdk

@@ -74,6 +74,7 @@
 #include "core/serialize.h"
 #include "core/smd_mapper.h"
 #include "core/vwsdk_mapper.h"
+#include "core/window_scan.h"
 
 #include "sim/chip_allocator.h"
 #include "sim/des.h"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
+#include "core/search_trace.h"
 #include "core/vwsdk_mapper.h"
 
 namespace vwsdk {
@@ -50,6 +52,45 @@ TEST(BitSlicedMapper, NeverWorseThanBitSlicedIm2col) {
               im2col_cost_bitsliced(shape, k512x512, config).total)
         << shape.to_string();
   }
+}
+
+TEST(BitSlicedMapper, DefaultConfigRecordsTheVwSdkTrace) {
+  const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
+  SearchTrace sliced_trace;
+  MappingContext context{conv5, k512x512};
+  context.trace = &sliced_trace;
+  const MappingDecision sliced = BitSlicedVwSdkMapper().map(context);
+  SearchTrace plain_trace;
+  context.trace = &plain_trace;
+  const MappingDecision plain = VwSdkMapper().map(context);
+  EXPECT_EQ(sliced.cost, plain.cost);
+  EXPECT_EQ(sliced.score, plain.score);
+
+  ASSERT_EQ(sliced_trace.candidates_visited(), 54LL * 54 - 1);
+  ASSERT_EQ(sliced_trace.steps().size(), plain_trace.steps().size());
+  for (std::size_t i = 0; i < plain_trace.steps().size(); ++i) {
+    const SearchStep& a = sliced_trace.steps()[i];
+    const SearchStep& b = plain_trace.steps()[i];
+    EXPECT_EQ(a.window, b.window) << "step " << i;
+    EXPECT_EQ(a.feasible, b.feasible) << "step " << i;
+    EXPECT_EQ(a.cycles, b.cycles) << "step " << i;
+    EXPECT_EQ(a.improved, b.improved) << "step " << i;
+    EXPECT_EQ(a.score, b.score) << "step " << i;
+  }
+}
+
+TEST(BitSlicedMapper, RejectsArraysNarrowerThanOneWeight) {
+  // 1-bit cells need 8 adjacent columns per weight: no window fits a
+  // 4-column array, so the search refuses instead of returning an
+  // infeasible decision with a max-cycles score.
+  BitSlicingConfig coarse;
+  coarse.cell_bits = 1;
+  const BitSlicedVwSdkMapper mapper(coarse);
+  const ConvShape shape = ConvShape::square(8, 3, 4, 6);
+  EXPECT_THROW(mapper.map(shape, ArrayGeometry{64, 4}), InvalidArgument);
+  // Eight columns hold one weight's slices.
+  const MappingDecision decision = mapper.map(shape, ArrayGeometry{64, 8});
+  EXPECT_TRUE(decision.cost.feasible);
 }
 
 TEST(BitSlicedMapper, MetadataAndName) {

@@ -16,6 +16,7 @@
 #include "core/mapping_cache.h"
 #include "core/network_optimizer.h"
 #include "core/pruned_mapper.h"
+#include "core/search_trace.h"
 #include "core/vwsdk_mapper.h"
 #include "nn/model_zoo.h"
 
@@ -62,7 +63,9 @@ TEST(ObjectiveMapping, TraceIdenticalUnderExplicitCyclesObjective) {
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
 
   SearchTrace legacy;
-  (void)mapper.map_traced(conv5, k512x512, &legacy);
+  MappingContext plain{conv5, k512x512};
+  plain.trace = &legacy;
+  (void)mapper.map(plain);
 
   SearchTrace scored;
   MappingContext context = context_for(conv5, k512x512, cycles_objective());

@@ -78,12 +78,14 @@ TEST(OptimizerParallel, TracedSearchWithPoolMatchesSequentialScanOrder) {
   const VwSdkMapper mapper;
   const ConvShape shape = ConvShape::square(56, 3, 128, 256);
   SearchTrace sequential_trace;
-  const MappingDecision sequential =
-      mapper.map_traced(shape, k512x512, &sequential_trace);
+  MappingContext context{shape, k512x512};
+  context.trace = &sequential_trace;
+  const MappingDecision sequential = mapper.map(context);
   ThreadPool pool(4);
   SearchTrace pooled_trace;
-  const MappingDecision pooled =
-      mapper.map_traced(shape, k512x512, &pooled_trace, &pool);
+  context.trace = &pooled_trace;
+  context.pool = &pool;
+  const MappingDecision pooled = mapper.map(context);
   EXPECT_EQ(sequential, pooled);
   ASSERT_EQ(sequential_trace.steps().size(), pooled_trace.steps().size());
   for (std::size_t i = 0; i < sequential_trace.steps().size(); ++i) {

@@ -1,7 +1,10 @@
 #include "core/pruned_mapper.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/search_trace.h"
 #include "core/vwsdk_mapper.h"
 
 namespace vwsdk {
@@ -43,22 +46,54 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PrunedMapper, ActuallyPrunes) {
   // On VGG-13 conv1 (224x224, tiny channels) the full scan is ~49k
-  // candidates; the prunes must remove the overwhelming majority.
+  // candidates; the prunes must remove the overwhelming majority, and
+  // the trace's last improvement is still the returned window.
   const ConvShape conv1 = ConvShape::square(224, 3, 3, 64);
-  PruneStats stats;
-  PrunedVwSdkMapper().map_with_stats(conv1, {512, 512}, &stats);
+  SearchTrace trace;
+  MappingContext context{conv1, {512, 512}};
+  context.trace = &trace;
+  const MappingDecision decision = PrunedVwSdkMapper().map(context);
   const Count full_scan = 222LL * 222 - 1;
-  EXPECT_LT(stats.evaluated, full_scan / 10);
-  EXPECT_GT(stats.lb_skipped + stats.row_breaks + stats.col_breaks, 0);
+  EXPECT_GT(trace.candidates_visited(), 0);
+  EXPECT_LT(trace.candidates_visited(), full_scan / 10);
+  const std::vector<SearchStep> improvements = trace.improvements();
+  ASSERT_FALSE(improvements.empty());
+  EXPECT_EQ(improvements.back().window, decision.cost.window);
+  EXPECT_EQ(improvements.back().cycles, decision.cost.total);
 }
 
-TEST(PrunedMapper, StatsAddUp) {
+TEST(PrunedMapper, TraceIsSubsequenceOfFullScan) {
+  // A pruned candidate can never improve the incumbent, so the pruned
+  // trace is the full scan's trace with some steps dropped -- each kept
+  // step identical, improvement flags included.
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
-  PruneStats stats;
-  const MappingDecision decision =
-      PrunedVwSdkMapper().map_with_stats(conv5, {512, 512}, &stats);
-  EXPECT_GT(stats.evaluated, 0);
+  SearchTrace pruned_trace;
+  MappingContext context{conv5, {512, 512}};
+  context.trace = &pruned_trace;
+  const MappingDecision decision = PrunedVwSdkMapper().map(context);
   EXPECT_EQ(decision.cost.total, 5832);
+  SearchTrace full_trace;
+  context.trace = &full_trace;
+  (void)VwSdkMapper().map(context);
+
+  ASSERT_GT(pruned_trace.candidates_visited(), 0);
+  EXPECT_LT(pruned_trace.candidates_visited(),
+            full_trace.candidates_visited());
+  std::size_t next = 0;
+  for (const SearchStep& step : pruned_trace.steps()) {
+    while (next < full_trace.steps().size() &&
+           !(full_trace.steps()[next].window == step.window)) {
+      ++next;
+    }
+    ASSERT_LT(next, full_trace.steps().size())
+        << step.window.to_string() << " is not in the full scan's order";
+    const SearchStep& full = full_trace.steps()[next];
+    EXPECT_EQ(step.feasible, full.feasible);
+    EXPECT_EQ(step.cycles, full.cycles);
+    EXPECT_EQ(step.improved, full.improved);
+    EXPECT_EQ(step.score, full.score);
+  }
+  EXPECT_EQ(pruned_trace.improvement_count(), full_trace.improvement_count());
 }
 
 TEST(PrunedMapper, AvailableViaFactory) {

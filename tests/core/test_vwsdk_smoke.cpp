@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/search_trace.h"
 #include "core/vwsdk_mapper.h"
 #include "mapping/cost_model.h"
 #include "nn/model_zoo.h"
@@ -40,7 +41,9 @@ TEST(VwSdkSmoke, Vgg13Conv5FirstMinimumPicks4x3) {
 TEST(VwSdkSmoke, Vgg13Conv5ScanVisits4x3Before4x4) {
   const VwSdkMapper mapper;
   SearchTrace trace;
-  mapper.map_traced(vgg13_conv5(), k512x512, &trace);
+  MappingContext context{vgg13_conv5(), k512x512};
+  context.trace = &trace;
+  mapper.map(context);
   std::ptrdiff_t seen_4x3 = -1;
   std::ptrdiff_t seen_4x4 = -1;
   const auto& steps = trace.steps();

@@ -111,7 +111,7 @@ TEST(Objective, ScoreCostsMatchesSerialScoringAtAnyPoolSize) {
   const std::vector<ParallelWindow> windows =
       enumerate_windows(shape, /*include_kernel=*/true);
   const std::vector<CycleCost> costs =
-      vw_costs(shape, k512x512, windows);
+      window_costs(shape, k512x512, windows, vw_cost);
   for (const Objective* objective :
        {&cycles_objective(), &energy_objective(), &edp_objective()}) {
     std::vector<double> expected;

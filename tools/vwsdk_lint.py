@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Five rules, each enforcing a contract the
+tools/check_doc_comments.py.  Nine rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -42,6 +42,12 @@ codebase documents elsewhere:
                    names a specific clang-tidy check (no bare or `(*)`
                    blanket suppressions) and carries a justification
                    after the check list (docs/STATIC_ANALYSIS.md).
+  window-scan      Algorithm 1's window loop (`for (Dim h =
+                   shape.kernel_h ...`) is written only in the scan
+                   engine (core/window_scan.cpp) and in
+                   enumerate_windows (mapping/parallel_window.cpp) --
+                   a mapper that needs another scan configures the
+                   engine instead of copying the loop.
 
 ``--self-test`` first runs every rule against embedded known-bad
 snippets and fails if any rule has gone blind; then the real tree is
@@ -518,6 +524,38 @@ def rule_nolint_discipline(tree: dict[str, str]) -> list[Failure]:
 
 
 # --------------------------------------------------------------------------
+# Rule: window-scan
+# --------------------------------------------------------------------------
+
+WINDOW_SCAN_HOMES = ("src/core/window_scan.cpp",
+                     "src/mapping/parallel_window.cpp")
+# A loop whose counter starts at a kernel height: the PW_h outer loop of
+# Algorithm 1, however its counter or shape variable is named.
+WINDOW_SCAN_RE = re.compile(
+    r"\bfor\s*\(\s*[\w:]+\s+\w+\s*=\s*(?:\w+(?:\.|->))*kernel_h\b")
+
+
+def rule_window_scan(tree: dict[str, str]) -> list[Failure]:
+    """The window scan is written once: outside the engine and
+    enumerate_windows, no src/ file may open a loop at the kernel
+    height -- configure scan_windows (core/window_scan.h) instead."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path in WINDOW_SCAN_HOMES:
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for match in WINDOW_SCAN_RE.finditer(code):
+            failures.append(
+                f"{path}:{line_of(code, match.start())}: a copy of "
+                "Algorithm 1's window loop -- build a WindowScan and call "
+                "scan_windows (core/window_scan.h), or walk "
+                "enumerate_windows (mapping/parallel_window.h)")
+    return failures
+
+
+# --------------------------------------------------------------------------
 # Self-tests: one known-bad snippet per rule; a rule that stays silent
 # on its bad snippet has gone blind and the lint run fails.
 # --------------------------------------------------------------------------
@@ -641,6 +679,15 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/core/bad.cpp":
             "int x = f();  // NOLINT(*): silence everything\n",
     }),
+    ("window-scan", rule_window_scan, {
+        "src/core/my_mapper.cpp": (
+            "for (Dim h = shape.kernel_h; h <= shape.padded_h(); "
+            "h += shape.stride_h) {}\n"),
+    }),
+    ("window-scan", rule_window_scan, {
+        "src/core/other_mapper.cpp":
+            "for (Dim height = context.shape.kernel_h; height < n; ++height)",
+    }),
     ("nolint-discipline", rule_nolint_discipline, {
         # specific check but no justification
         "src/core/bad.cpp":
@@ -688,6 +735,17 @@ CLEAN_TREES = [
             "int y = f();  // NOLINT(performance-unnecessary-copy-"
             "initialization): the copy pins lifetime across the callback\n"),
     }),
+    (rule_window_scan, {
+        "src/core/window_scan.cpp":
+            "for (Dim h = shape.kernel_h; h <= shape.padded_h(); ++h) {}",
+        "src/mapping/parallel_window.cpp":
+            "for (Dim h = shape.kernel_h; h <= shape.padded_h(); ++h) {}",
+        # a commented loop, a width loop, and a loop from zero
+        "src/core/ok.cpp": (
+            "// for (Dim h = shape.kernel_h; ...) lives in the engine\n"
+            "for (Dim w = shape.kernel_w; w <= shape.padded_w(); ++w) {}\n"
+            "for (Dim h = 0; h < shape.kernel_h; ++h) {}\n"),
+    }),
 ]
 
 
@@ -720,6 +778,7 @@ RULES = [
     ("doc-links", rule_doc_links),
     ("ceil-div", rule_ceil_div),
     ("nolint-discipline", rule_nolint_discipline),
+    ("window-scan", rule_window_scan),
 ]
 
 
