@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
+#include "tensor/gemm_backend.h"
 
 namespace vwsdk {
 
@@ -32,80 +33,26 @@ void Crossbar::program(Dim row, Dim col, double value, NoiseModel* noise) {
   ++programmed_count_;
 }
 
-void Crossbar::erase() {
-  std::fill(cells_.begin(), cells_.end(), 0.0);
-  std::fill(programmed_.begin(), programmed_.end(), 0);
-  programmed_count_ = 0;
-}
-
 double Crossbar::cell(Dim row, Dim col) const { return cells_[index(row, col)]; }
-
-bool Crossbar::is_programmed(Dim row, Dim col) const {
-  return programmed_[index(row, col)] != 0;
-}
 
 std::vector<double> Crossbar::compute(const std::vector<double>& input,
                                       const ConverterModel& adc) const {
-  VWSDK_REQUIRE(static_cast<Dim>(input.size()) == geometry_.rows,
-                cat("input vector length ", input.size(),
-                    " != array rows ", geometry_.rows));
-  std::vector<double> output(static_cast<std::size_t>(geometry_.cols), 0.0);
-  for (Dim row = 0; row < geometry_.rows; ++row) {
-    const double drive = input[static_cast<std::size_t>(row)];
-    if (drive == 0.0) {
-      continue;  // idle wordline contributes no current
-    }
-    const std::size_t base = static_cast<std::size_t>(row) *
-                             static_cast<std::size_t>(geometry_.cols);
-    for (Dim col = 0; col < geometry_.cols; ++col) {
-      output[static_cast<std::size_t>(col)] +=
-          drive * cells_[base + static_cast<std::size_t>(col)];
-    }
-  }
+  const Count rows = geometry_.rows;
+  const Count size = static_cast<Count>(input.size());
+  VWSDK_REQUIRE(size > 0 && size % rows == 0,
+                cat("input length ", input.size(),
+                    " is not a positive multiple of array rows ", rows));
+  const Count batch = size / rows;
+  std::vector<double> output(static_cast<std::size_t>(batch * geometry_.cols),
+                             0.0);
+  gemm_accumulate(input.data(), cells_.data(), output.data(), 0, batch, rows,
+                  geometry_.cols);
   if (adc.mode() != ConverterMode::kIdeal) {
     for (double& value : output) {
       value = adc.convert(value);
     }
   }
   return output;
-}
-
-Count Crossbar::used_row_count() const {
-  Count used = 0;
-  for (Dim row = 0; row < geometry_.rows; ++row) {
-    const std::size_t base = static_cast<std::size_t>(row) *
-                             static_cast<std::size_t>(geometry_.cols);
-    for (Dim col = 0; col < geometry_.cols; ++col) {
-      if (programmed_[base + static_cast<std::size_t>(col)] != 0) {
-        ++used;
-        break;
-      }
-    }
-  }
-  return used;
-}
-
-Count Crossbar::used_col_count() const {
-  std::vector<char> seen(static_cast<std::size_t>(geometry_.cols), 0);
-  for (Dim row = 0; row < geometry_.rows; ++row) {
-    const std::size_t base = static_cast<std::size_t>(row) *
-                             static_cast<std::size_t>(geometry_.cols);
-    for (Dim col = 0; col < geometry_.cols; ++col) {
-      if (programmed_[base + static_cast<std::size_t>(col)] != 0) {
-        seen[static_cast<std::size_t>(col)] = 1;
-      }
-    }
-  }
-  Count used = 0;
-  for (const char flag : seen) {
-    used += flag;
-  }
-  return used;
-}
-
-double Crossbar::utilization() const {
-  return static_cast<double>(programmed_count_) /
-         static_cast<double>(geometry_.cell_count());
 }
 
 }  // namespace vwsdk

@@ -11,14 +11,16 @@
 ///
 ///     current[col] = ADC( Σ_row  input[row] * cell[row][col] )
 ///
-/// which is exactly one analog vector-matrix multiplication.  The model is
-/// functional, not electrical: value types are doubles, non-idealities are
-/// injected through ConverterModel (quantization) and NoiseModel (device
+/// which is exactly one analog vector-matrix multiplication.  Every cycle
+/// on a programmed array drives the same cells, so a batch of cycles is
+/// one matrix product, computed by the shared MVM kernel
+/// (`gemm_accumulate`, tensor/gemm_backend.h).  The model is functional,
+/// not electrical: value types are doubles, non-idealities are injected
+/// through ConverterModel (quantization) and NoiseModel (device
 /// variation).
 ///
-/// The crossbar also keeps *programming bookkeeping* (which cells were
-/// written) so the simulator can measure array utilization and detect
-/// placement collisions -- the physical analogue of a mapping bug.
+/// The crossbar refuses to program a cell twice -- the physical analogue
+/// of a mapping bug -- and counts its programmed cells.
 
 #include <vector>
 
@@ -44,32 +46,21 @@ class Crossbar {
   /// applied at programming time, as on real hardware.
   void program(Dim row, Dim col, double value, NoiseModel* noise = nullptr);
 
-  /// Erase all cells and bookkeeping.
-  void erase();
-
   /// The stored value of a cell (zero if never programmed).
   double cell(Dim row, Dim col) const;
 
-  /// Whether a cell has been programmed since the last erase.
-  bool is_programmed(Dim row, Dim col) const;
-
-  /// One computing cycle: multiply-accumulate the `input` vector (length
-  /// = rows; entries for idle rows are 0) down every column, applying the
-  /// ADC model to each column read-out.  Returns `cols` column values.
+  /// A batch of computing cycles: `input` holds one row vector (length =
+  /// rows; entries for idle rows are 0) per cycle, so its length must be
+  /// a positive multiple of rows.  Returns `batch x cols` column values,
+  /// row-major, each read-out passed through the ADC model.  Terms
+  /// accumulate in ascending row order, so cycle i of a batch is bitwise
+  /// identical to computing it alone.
   std::vector<double> compute(const std::vector<double>& input,
                               const ConverterModel& adc = {}) const;
 
   /// Number of programmed cells (utilization numerator, weight-cell
   /// convention of Eq. (9)).
   Count programmed_cell_count() const { return programmed_count_; }
-
-  /// Number of distinct rows / columns containing at least one programmed
-  /// cell (the window-footprint convention's bounding measure).
-  Count used_row_count() const;
-  Count used_col_count() const;
-
-  /// Fraction of programmed cells: programmed / (rows*cols).
-  double utilization() const;
 
  private:
   std::size_t index(Dim row, Dim col) const;

@@ -26,8 +26,9 @@ double fetch_input(const Tensord& ifm, const ConvShape& shape, Dim ic, Dim y,
   return ifm.at(ic, real_y, real_x);
 }
 
-/// Write one output value, optionally checking that a recomputation (an
-/// overlapping clamped window) reproduces the committed value exactly.
+/// Write one output value.  Overlapping clamped windows recompute some
+/// outputs; with `check_consistency` the recomputation must reproduce the
+/// committed value exactly, otherwise the last computed value stands.
 void commit_output(Tensord& ofm, std::vector<char>& written,
                    const ConvShape& shape, Dim oc, Count oy, Count ox,
                    double value, bool check_consistency) {
@@ -44,6 +45,37 @@ void commit_output(Tensord& ofm, std::vector<char>& written,
   ofm.at(oc, static_cast<Dim>(oy), static_cast<Dim>(ox)) = value;
   written[flat] = 1;
 }
+
+/// A parallel-window base in padded input pixels.
+struct WindowBase {
+  Dim y = 0;
+  Dim x = 0;
+};
+
+/// The base of duplicate block `dup` in cycle `c` of a tile's schedule,
+/// or nullopt when that block idles.  Windowed plans walk the base grid
+/// row-major (their only block is dup 0); SMD block `dup` computes
+/// kernel window c * D + dup and idles past the last window.
+std::optional<WindowBase> cycle_base(const MappingPlan& plan, Count c,
+                                     Dim dup) {
+  const ConvShape& shape = plan.shape;
+  if (plan.kind != PlanKind::kSmd) {
+    const Count nx = static_cast<Count>(plan.base_x.size());
+    return WindowBase{plan.base_y[static_cast<std::size_t>(c / nx)],
+                      plan.base_x[static_cast<std::size_t>(c % nx)]};
+  }
+  const Count window = c * plan.cost.smd_duplicates + dup;
+  if (window >= shape.num_windows()) {
+    return std::nullopt;
+  }
+  const Count ow = shape.windows_w();
+  return WindowBase{static_cast<Dim>((window / ow) * shape.stride_h),
+                    static_cast<Dim>((window % ow) * shape.stride_w)};
+}
+
+/// Cycles per schedule block: each tile runs a block as one batched
+/// compute call.
+constexpr Count kBlockCycles = 64;
 
 }  // namespace
 
@@ -88,106 +120,73 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   result.ofm = Tensord::feature_map(shape.out_channels,
                                     static_cast<Dim>(shape.windows_h()),
                                     static_cast<Dim>(shape.windows_w()));
-  result.arrays_used = static_cast<Count>(arrays.size());
-  double min_util = 1.0;
-  double sum_util = 0.0;
   for (const Crossbar& array : arrays) {
     result.programmed_cells =
         checked_add(result.programmed_cells, array.programmed_cell_count());
-    min_util = std::min(min_util, array.utilization());
-    sum_util += array.utilization();
   }
-  result.min_tile_utilization = arrays.empty() ? 0.0 : min_util;
-  result.mean_tile_utilization =
-      arrays.empty() ? 0.0 : sum_util / static_cast<double>(arrays.size());
-
   std::vector<char> written(
       static_cast<std::size_t>(result.ofm.size()), 0);
+  // Under noise, overlapping windows read different noisy copies of the
+  // kernel, so only noiseless recomputations must agree.
+  const bool check_consistency = !options.noise.enabled();
 
-  const auto run_cycle = [&](const ArrayTile& tile, Count tile_index,
-                             const std::vector<double>& input) {
-    const Crossbar& array = arrays[static_cast<std::size_t>(tile_index)];
-    ++result.cycles;
-    result.activity.cycles += 1;
-    result.activity.row_activations += static_cast<Count>(tile.rows.size());
-    result.activity.col_reads += static_cast<Count>(tile.cols.size());
-    result.activity.cell_macs += array.programmed_cell_count();
-    return array.compute(input, options.adc);
-  };
-
-  if (plan.kind == PlanKind::kSmd) {
-    // D block-diagonal duplicates; each cycle covers up to D consecutive
-    // kernel windows, row-major over the output grid.
-    VWSDK_ASSERT(plan.tiles.size() == 1, "SMD plans have one tile");
-    const ArrayTile& tile = plan.tiles.front();
-    const Count n_windows = shape.num_windows();
-    const Dim dup_count = plan.cost.smd_duplicates;
-    const Count ow = shape.windows_w();
-    std::vector<double> input(static_cast<std::size_t>(plan.geometry.rows));
-
-    for (Count first = 0; first < n_windows; first += dup_count) {
-      const Count live = std::min<Count>(dup_count, n_windows - first);
-      std::fill(input.begin(), input.end(), 0.0);
-      for (const RowBinding& rb : tile.rows) {
-        if (rb.dup >= live) {
-          continue;  // idle duplicate in the final chunk
-        }
-        const Count window = first + rb.dup;
-        const Dim base_y =
-            static_cast<Dim>((window / ow) * shape.stride_h);
-        const Dim base_x =
-            static_cast<Dim>((window % ow) * shape.stride_w);
-        input[static_cast<std::size_t>(rb.row)] =
-            fetch_input(ifm, shape, rb.ic, base_y + rb.dy, base_x + rb.dx);
-      }
-      const std::vector<double> out = run_cycle(tile, 0, input);
-      for (const ColBinding& cb : tile.cols) {
-        if (cb.dup >= live) {
-          continue;
-        }
-        const Count window = first + cb.dup;
-        commit_output(result.ofm, written, shape, cb.oc, window / ow,
-                      window % ow, out[static_cast<std::size_t>(cb.col)],
-                      options.check_overlap_consistency);
-      }
-    }
-  } else {
-    // Windowed / im2col: for each parallel-window base, accumulate the
-    // AR partial sums per AC tile, then commit the outputs.
-    std::vector<double> input(static_cast<std::size_t>(plan.geometry.rows));
-    std::vector<double> acc(static_cast<std::size_t>(plan.geometry.cols));
-
-    for (const Dim by : plan.base_y) {
-      for (const Dim bx : plan.base_x) {
-        for (Dim ac = 0; ac < plan.cost.ac_cycles; ++ac) {
-          std::fill(acc.begin(), acc.end(), 0.0);
-          const ArrayTile* last_tile = nullptr;
-          for (Dim ar = 0; ar < plan.cost.ar_cycles; ++ar) {
-            const Count tile_index =
-                static_cast<Count>(ar) * plan.cost.ac_cycles + ac;
-            const ArrayTile& tile =
-                plan.tiles[static_cast<std::size_t>(tile_index)];
-            last_tile = &tile;
-            std::fill(input.begin(), input.end(), 0.0);
-            for (const RowBinding& rb : tile.rows) {
-              input[static_cast<std::size_t>(rb.row)] = fetch_input(
-                  ifm, shape, rb.ic, by + rb.dy, bx + rb.dx);
-            }
-            const std::vector<double> out =
-                run_cycle(tile, tile_index, input);
-            for (std::size_t col = 0; col < out.size(); ++col) {
-              acc[col] += out[col];
+  // One schedule loop for every plan kind: blocks of cycles; per block
+  // and AC band, each AR tile computes the block as one batch and the AR
+  // partial sums accumulate in ascending AR.  Commits wait for every AC
+  // band so they run in schedule order (cycle-major, AC-minor): the last
+  // writer of an overlapping output is the cycle-by-cycle walk's.
+  VWSDK_ASSERT(!plan.tiles.empty(), "plan has no tiles");
+  const Count n_cycles =
+      plan.total_cycles() / static_cast<Count>(plan.tiles.size());
+  const Dim n_ar = plan.cost.ar_cycles;
+  const Dim n_ac = plan.cost.ac_cycles;
+  const Count rows = plan.geometry.rows;
+  const Count cols = plan.geometry.cols;
+  std::vector<double> input;
+  std::vector<double> acc;
+  for (Count first = 0; first < n_cycles; first += kBlockCycles) {
+    const Count batch = std::min(kBlockCycles, n_cycles - first);
+    acc.assign(static_cast<std::size_t>(n_ac * batch * cols), 0.0);
+    for (Dim ac = 0; ac < n_ac; ++ac) {
+      double* band = acc.data() + ac * batch * cols;
+      for (Dim ar = 0; ar < n_ar; ++ar) {
+        const ArrayTile& tile = plan.tile(ar, ac);
+        const Crossbar& array =
+            arrays[static_cast<std::size_t>(ar * n_ac + ac)];
+        input.assign(static_cast<std::size_t>(batch * rows), 0.0);
+        for (Count i = 0; i < batch; ++i) {
+          for (const RowBinding& rb : tile.rows) {
+            if (const auto base = cycle_base(plan, first + i, rb.dup)) {
+              input[static_cast<std::size_t>(i * rows + rb.row)] =
+                  fetch_input(ifm, shape, rb.ic, base->y + rb.dy,
+                              base->x + rb.dx);
             }
           }
-          // Column bindings are identical across the AR tiles of one AC
-          // band; commit once per base using the last tile's bindings.
-          VWSDK_ASSERT(last_tile != nullptr, "no AR tiles executed");
-          for (const ColBinding& cb : last_tile->cols) {
-            const Count oy = by / shape.stride_h + cb.win_py;
-            const Count ox = bx / shape.stride_w + cb.win_px;
-            commit_output(result.ofm, written, shape, cb.oc, oy, ox,
-                          acc[static_cast<std::size_t>(cb.col)],
-                          options.check_overlap_consistency);
+        }
+        const std::vector<double> out = array.compute(input, options.adc);
+        for (std::size_t j = 0; j < out.size(); ++j) {
+          band[j] += out[j];
+        }
+        result.cycles += batch;
+        result.activity.cycles += batch;
+        result.activity.row_activations +=
+            batch * static_cast<Count>(tile.rows.size());
+        result.activity.col_reads +=
+            batch * static_cast<Count>(tile.cols.size());
+        result.activity.cell_macs += batch * array.programmed_cell_count();
+      }
+    }
+    for (Count i = 0; i < batch; ++i) {
+      for (Dim ac = 0; ac < n_ac; ++ac) {
+        // Column bindings are identical across the AR tiles of one AC
+        // band; commit with the last tile's bindings.
+        const double* read_out = acc.data() + (ac * batch + i) * cols;
+        for (const ColBinding& cb : plan.tile(n_ar - 1, ac).cols) {
+          if (const auto base = cycle_base(plan, first + i, cb.dup)) {
+            commit_output(result.ofm, written, shape, cb.oc,
+                          base->y / shape.stride_h + cb.win_py,
+                          base->x / shape.stride_w + cb.win_px,
+                          read_out[cb.col], check_consistency);
           }
         }
       }

@@ -4,10 +4,19 @@
 /// Functional execution of a MappingPlan on crossbar arrays.
 ///
 /// The executor programs one Crossbar per (AR, AC) tile, then walks the
-/// cycle schedule: each cycle drives the rows with the input-feature-map
-/// values the plan's row bindings name, performs the analog MVM, applies
-/// the ADC model, and scatters the column read-outs into the output
-/// feature map (accumulating partial sums across AR tiles).
+/// schedule in one loop for every plan kind.  A cycle is one base of the
+/// parallel-window grid (an SMD cycle: one chunk of D windows), and every
+/// cycle of a tile drives the same programmed array, so the loop takes
+/// blocks of cycles and runs each tile's block as one batched MVM: it
+/// gathers the input-feature-map values the tile's row bindings name,
+/// computes the block on the crossbar (ADC model applied per read-out),
+/// accumulates partial sums across AR tiles in ascending order, and
+/// scatters the column read-outs into the output feature map in
+/// schedule order.  Clamped parallel windows overlap and recompute some
+/// outputs: without device noise the recomputation must reproduce the
+/// committed value exactly (InternalError otherwise); with noise the
+/// overlapping windows read different noisy copies of the kernel and the
+/// last computed value stands.
 ///
 /// This is the strongest form of evidence a mapping can get in software:
 /// if the plan (placement, schedule, tiling) is wrong in any way, the
@@ -29,7 +38,6 @@ struct ExecutionOptions {
   NoiseConfig noise{};              ///< no device variation by default
   std::uint64_t noise_seed = 1;     ///< seed for the noise model
   bool validate_plan = true;        ///< run plan_validate first
-  bool check_overlap_consistency = true;  ///< recomputed outputs must agree
 
   /// Reference backend verification compares the execution against: a
   /// BackendRegistry name or alias; empty resolves through the
@@ -43,10 +51,7 @@ struct ExecutionResult {
   Tensord ofm;                ///< (1, OC, OH, OW)
   Cycles cycles = 0;          ///< computing cycles executed
   EnergyReport activity{};    ///< rows driven / cols read / cell MACs
-  Count arrays_used = 0;      ///< tiles (distinct array programmings)
   Count programmed_cells = 0; ///< total cells programmed across tiles
-  double min_tile_utilization = 0.0;  ///< min over tiles of programmed frac
-  double mean_tile_utilization = 0.0; ///< mean over tiles
 };
 
 /// Execute `plan` on the given input and weights.

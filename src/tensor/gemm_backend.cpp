@@ -58,14 +58,11 @@ void pack_rows(const Tensord& ifm, Dim kh, Dim kw, const ConvConfig& config,
   }
 }
 
-/// C[m, :] += A[m, :] * B for output rows [m_begin, m_end): column
-/// stripes of kNc, kernel blocks of kKc, then a contiguous axpy.  Per
-/// output element the terms accumulate in ascending k -- the same order
-/// for any blocking or thread chunking, which is what makes the backend
-/// deterministic (see gemm_backend.h).
-void multiply_rows(const double* a, const double* b, double* c,
-                   Count m_begin, Count m_end, Count k_total,
-                   Count n_total) {
+}  // namespace
+
+void gemm_accumulate(const double* a, const double* b, double* c,
+                     Count m_begin, Count m_end, Count k_total,
+                     Count n_total) {
   for (Count n0 = 0; n0 < n_total; n0 += kNc) {
     const Count nb = std::min(kNc, n_total - n0);
     for (Count k0 = 0; k0 < k_total; k0 += kKc) {
@@ -84,8 +81,6 @@ void multiply_rows(const double* a, const double* b, double* c,
     }
   }
 }
-
-}  // namespace
 
 GemmBackend::GemmBackend(int threads)
     : pool_(std::make_unique<ThreadPool>(threads)) {}
@@ -124,14 +119,14 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
   const bool inline_run = macs < kParallelCutoffMacs || pool_->size() == 1;
   if (inline_run) {
     pack_rows(ifm, kh, kw, config, oh, ow, 0, rows, columns);
-    multiply_rows(a, columns, c, 0, oc, rows, cols);
+    gemm_accumulate(a, columns, c, 0, oc, rows, cols);
     return ofm;
   }
   parallel_chunks(*pool_, rows, [&](Count begin, Count end) {
     pack_rows(ifm, kh, kw, config, oh, ow, begin, end, columns);
   });
   parallel_chunks(*pool_, oc, [&](Count begin, Count end) {
-    multiply_rows(a, columns, c, begin, end, rows, cols);
+    gemm_accumulate(a, columns, c, begin, end, rows, cols);
   });
   return ofm;
 }

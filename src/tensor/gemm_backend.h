@@ -11,14 +11,20 @@
 /// matrix-matrix product, cache-blocked and fanned out across the
 /// thread pool.
 ///
+/// The multiply-accumulate itself is `gemm_accumulate`, the one MVM
+/// kernel of the repo: the crossbar simulator (pim/crossbar.h) runs a
+/// tile's batch of computing cycles through it as well.
+///
 /// Determinism contract (what lets `gemm` replace the scalar oracle on
-/// the verification paths): every output element accumulates its terms
-/// in ascending kernel-row order, each output row is computed wholly by
-/// one worker, and zero weights are not skipped -- so the result is
-/// bitwise identical for any thread count, and bitwise identical to
-/// conv2d_direct on integer-valued tensors (integer sums are exact in
-/// double regardless of association).  Pinned by
-/// tests/tensor/test_exec_backend.cpp and gated by bench_exec.
+/// the verification paths, and what keeps crossbar execution exact):
+/// every output element accumulates its terms in ascending k (kernel-row
+/// order here, physical array-row order in the crossbar), each output
+/// row is computed wholly by one worker, and zero operands are not
+/// skipped -- so the result is bitwise identical for any thread count,
+/// and bitwise identical to conv2d_direct on integer-valued tensors
+/// (integer sums are exact in double regardless of association).
+/// Pinned by tests/tensor/test_exec_backend.cpp and
+/// tests/pim/test_crossbar.cpp, and gated by bench_exec.
 
 #include <memory>
 
@@ -26,6 +32,15 @@
 #include "tensor/exec_backend.h"
 
 namespace vwsdk {
+
+/// C[m, :] += A[m, :] * B for rows m in [m_begin, m_end) of row-major
+/// A (m x k_total), B (k_total x n_total) and C (m x n_total), cache
+/// blocked over column stripes and k.  Per output element the terms
+/// accumulate in ascending k, the same order for any blocking or row
+/// range (see the determinism contract above).
+void gemm_accumulate(const double* a, const double* b, double* c,
+                     Count m_begin, Count m_end, Count k_total,
+                     Count n_total);
 
 /// Blocked im2col + tiled GEMM convolution on an owned thread pool.
 ///

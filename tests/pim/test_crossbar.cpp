@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/error.h"
 
 namespace vwsdk {
@@ -11,32 +14,20 @@ TEST(Crossbar, StartsErased) {
   const Crossbar array({4, 4});
   EXPECT_EQ(array.programmed_cell_count(), 0);
   EXPECT_EQ(array.cell(2, 3), 0.0);
-  EXPECT_FALSE(array.is_programmed(2, 3));
-  EXPECT_EQ(array.utilization(), 0.0);
 }
 
 TEST(Crossbar, ProgramAndRead) {
   Crossbar array({4, 4});
   array.program(1, 2, -0.5);
   EXPECT_EQ(array.cell(1, 2), -0.5);
-  EXPECT_TRUE(array.is_programmed(1, 2));
+  EXPECT_EQ(array.cell(2, 1), 0.0);
   EXPECT_EQ(array.programmed_cell_count(), 1);
-  EXPECT_DOUBLE_EQ(array.utilization(), 1.0 / 16.0);
 }
 
 TEST(Crossbar, DoubleProgramIsACollision) {
   Crossbar array({4, 4});
   array.program(0, 0, 1.0);
   EXPECT_THROW(array.program(0, 0, 2.0), InvalidArgument);
-}
-
-TEST(Crossbar, EraseResetsEverything) {
-  Crossbar array({4, 4});
-  array.program(0, 0, 1.0);
-  array.erase();
-  EXPECT_EQ(array.programmed_cell_count(), 0);
-  EXPECT_EQ(array.cell(0, 0), 0.0);
-  EXPECT_NO_THROW(array.program(0, 0, 2.0));
 }
 
 TEST(Crossbar, OutOfRangeAccessRejected) {
@@ -64,6 +55,7 @@ TEST(Crossbar, ComputeRejectsWrongInputLength) {
   const Crossbar array({2, 3});
   EXPECT_THROW(array.compute({1.0}), InvalidArgument);
   EXPECT_THROW(array.compute({1.0, 2.0, 3.0}), InvalidArgument);
+  EXPECT_THROW(array.compute({}), InvalidArgument);
 }
 
 TEST(Crossbar, IdleRowsContributeNothing) {
@@ -72,15 +64,6 @@ TEST(Crossbar, IdleRowsContributeNothing) {
   array.program(2, 0, 7.0);
   const std::vector<double> out = array.compute({0.0, 123.0, 1.0});
   EXPECT_EQ(out[0], 7.0);  // row 1 has no cell; row 0 driven with 0
-}
-
-TEST(Crossbar, UsedRowAndColCounts) {
-  Crossbar array({4, 4});
-  array.program(0, 1, 1.0);
-  array.program(0, 2, 1.0);
-  array.program(3, 1, 1.0);
-  EXPECT_EQ(array.used_row_count(), 2);
-  EXPECT_EQ(array.used_col_count(), 2);
 }
 
 TEST(Crossbar, QuantizingAdcAppliedPerColumn) {
@@ -103,6 +86,40 @@ TEST(Crossbar, NoiseAppliedAtProgrammingIsDeterministic) {
   b.program(0, 0, 1.0, &noise_b);
   EXPECT_EQ(a.cell(0, 0), b.cell(0, 0));
   EXPECT_NE(a.cell(0, 0), 1.0);  // sigma 0.1 perturbs with prob ~1
+}
+
+TEST(Crossbar, BatchedComputeMatchesPerCycle) {
+  // Noisy cells and a quantizing ADC: a batch of N cycles must equal N
+  // single-cycle calls bit for bit.
+  NoiseModel noise({0.05, 0.01}, 3);
+  Crossbar array({5, 4});
+  for (Dim row = 0; row < 5; ++row) {
+    for (Dim col = 0; col < 4; ++col) {
+      if ((row + col) % 3 != 0) {
+        array.program(row, col, 0.25 * (row - 2) + 0.5 * col, &noise);
+      }
+    }
+  }
+  const ConverterModel adc(6, -4.0, 4.0);
+  const std::vector<std::vector<double>> cycles = {
+      {1.0, -0.5, 0.0, 2.0, 0.3},
+      {0.0, 0.0, 0.0, 0.0, 0.0},
+      {-1.7, 0.0, 0.9, 0.0, -0.25}};
+  std::vector<double> batch;
+  for (const std::vector<double>& input : cycles) {
+    batch.insert(batch.end(), input.begin(), input.end());
+  }
+  for (const ConverterModel& converter : {ConverterModel{}, adc}) {
+    const std::vector<double> batched = array.compute(batch, converter);
+    ASSERT_EQ(batched.size(), cycles.size() * 4);
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      const std::vector<double> single = array.compute(cycles[i], converter);
+      EXPECT_EQ(std::memcmp(single.data(), batched.data() + i * 4,
+                            4 * sizeof(double)),
+                0)
+          << "cycle " << i;
+    }
+  }
 }
 
 }  // namespace
