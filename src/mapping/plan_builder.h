@@ -3,81 +3,52 @@
 /// @file plan_builder.h
 /// Construction of executable MappingPlans from analytic mapping choices.
 ///
-/// Builders emit only row and column bindings; which cells hold which
-/// weight follows from them by the cell rule of mapping_plan.h.  Layout
-/// conventions (documented here once, asserted by plan_validate, relied on
-/// by the executor):
+/// **The cut rule.**  Every mapping of Fig. 2 is one matrix cut across
+/// arrays.  The matrix belongs to the parallel window `cost.window` (the
+/// kernel for im2col and SMD): its rows are the window's unrolled inputs
+/// (ic, dy, dx), flattened channel-major, and its columns are the shifted
+/// kernels (oc, wy, wx), flattened oc-major:
 ///
-/// **Windowed plans** (SDK and VW-SDK; Fig. 2(c)/(d) of the paper).
-/// For AR tile `i` (channels [i*IC_t, ...)) and AC tile `j` (output
-/// channels [j*OC_t, ...)):
-///  * row for (local channel c, window offset dy, dx):
-///        row = c * PW_w*PW_h + dy * PW_w + dx
-///  * column for (local output channel o, window index wy, wx):
-///        col = o * N_WP + wy * WIP_w + wx
-///    (all windows of one output channel sit on adjacent bitlines, the
-///    "shifted and duplicated kernel" group);
-///  * by the cell rule, a window column leaves unprogrammed the offsets
-///    that match no kernel element -- the structural zeros that make SDK
-///    utilization interesting.
+///     flat row = ic * PW_w*PW_h + dy * PW_w + dx
+///     flat col = oc * N_WP      + wy * WIP_w + wx
 ///
-/// **im2col plans** (Fig. 2(a)).  The kernel column is flattened in
-/// im2col_row_index order (ic-major, then ky, kx) and split across AR
-/// tiles at *element* granularity: AR tile i holds flat indices
-/// [i*rows, (i+1)*rows), each row's offset (dy, dx) being its kernel
-/// coordinate.  Column j*cols + o computes output channel j*cols + o at
-/// window 0.  PW = kernel, one window per cycle.
+/// AR tile `ar` holds flat rows [ar*row_stride, ...) and AC tile `ac` flat
+/// columns [ac*col_stride, ...), each at its offset from the band's first
+/// index.  The strides come from the cost:
 ///
-/// **SMD plans** (Fig. 2(b)).  D = cost.smd_duplicates block-diagonal
-/// copies of the im2col matrix; duplicate d occupies rows
-/// [d*K^2*IC, ...) and columns [d*OC, ...), all bound with dup = d, so
-/// the cell rule programs no cell across two blocks.  Each cycle
-/// processes up to D consecutive kernel windows (row-major over the output
-/// grid).
-/// Requires D*K^2*IC <= rows (guaranteed by smd_cost for D >= 2;
-/// for D == 1 the im2col plan is returned instead).
+///  * **windowed** (VW-SDK, and SDK windows that fit one array; Fig.
+///    2(c)/(d)): a channel-granular cost whose channel tiles fit one array
+///    cuts whole channels, row_stride = IC_t * PW-area, and whole output
+///    channels, col_stride = OC_t * N_WP.  VW-SDK's "partial channels" are
+///    this smaller row cut;
+///  * **element-split** (SDK windows that overflow one array): every
+///    array is filled, row_stride = rows and col_stride = cols, so a band
+///    may start mid-channel -- Eq. (1)'s AR = ceil(PW-area*IC / rows) and
+///    AC = ceil(OC*N_WP / cols);
+///  * **im2col** (Fig. 2(a)): the element split of the kernel window,
+///    whose one column per output channel computes window 0;
+///  * **SMD** (Fig. 2(b)): D = cost.smd_duplicates copies of the im2col
+///    matrix in one array.  Copy d is bound with dup = d at rows and
+///    columns offset by d times the band, so the cell rule programs no cell
+///    across two blocks.  Each cycle processes up to D consecutive kernel
+///    windows (row-major over the output grid) instead of a base grid.
+///
+/// The builder emits only row and column bindings; which cells hold which
+/// weight follows from them by the cell rule of mapping_plan.h.
+/// plan_validate asserts these conventions independently, and the executor
+/// relies on them.
 
 #include "mapping/mapping_plan.h"
 
 namespace vwsdk {
 
-/// Build a windowed (SDK / VW-SDK style) plan realizing `cost`, which must
-/// be feasible, channel-granular, and produced by vw_cost (or equivalent
-/// tiling).  Throws InvalidArgument otherwise.
-MappingPlan build_windowed_plan(const ConvShape& shape,
-                                const ArrayGeometry& geometry,
-                                const CycleCost& cost);
-
-/// Build an element-split windowed plan realizing an SDK-style cost from
-/// sdk_cost(): the window's (channel, dy, dx) input rows are flattened
-/// channel-major and cut every `rows` elements (a slice may start
-/// mid-channel); the (oc, window) columns are flattened oc-major and cut
-/// every `cols`.  This is how Eq. (1)'s AR = ceil(PW²·IC/rows) and
-/// AC = ceil(OC·N_WP/cols) are physically realizable.
-MappingPlan build_element_split_plan(const ConvShape& shape,
-                                     const ArrayGeometry& geometry,
-                                     const CycleCost& cost);
-
-/// Build the dense im2col plan for `shape` on `geometry`.
-MappingPlan build_im2col_plan(const ConvShape& shape,
-                              const ArrayGeometry& geometry);
-
-/// Build the sub-matrix-duplication plan (falls back to the im2col plan
-/// when only one duplicate fits).
-MappingPlan build_smd_plan(const ConvShape& shape,
-                           const ArrayGeometry& geometry);
-
-/// Convenience: build the plan for a window chosen by a mapper, using
-/// channel tiling (VW semantics).  `pw` equal to the kernel window yields
-/// the im2col plan.
-MappingPlan build_plan_for_window(const ConvShape& shape,
-                                  const ArrayGeometry& geometry,
-                                  const ParallelWindow& pw);
-
-/// Dispatch on a CycleCost produced by any of the cost functions:
-/// SMD costs build SMD plans, element-granular costs build im2col plans,
-/// channel-granular costs build windowed plans.  The rebuilt plan's cost
-/// must equal `cost` (asserted).
+/// Build the plan realizing `cost`, a feasible CycleCost from any of the
+/// cost functions (im2col_cost, smd_cost, sdk_cost, vw_cost or a bit-sliced
+/// variant), by the cut rule above.  Throws InvalidArgument for a cost the
+/// layout cannot realize: infeasible, an inadmissible window, an
+/// element-granular or duplicated cost whose window is not the kernel,
+/// empty channel tiles, or AR/AC counts other than the cut's band counts.
+/// The plan's cost is `cost`.
 MappingPlan build_plan_for_cost(const ConvShape& shape,
                                 const ArrayGeometry& geometry,
                                 const CycleCost& cost);

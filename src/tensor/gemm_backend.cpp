@@ -24,8 +24,8 @@ constexpr Count kParallelCutoffMacs = Count{1} << 15;
 
 /// Lower input rows [row_begin, row_end) of the im2col matrix into
 /// `columns` (kernel_volume x windows, row-major).  Row r corresponds
-/// to kernel element (ic, ky, kx) with r = im2col_row_index(ic, ky,
-/// kx); out-of-range taps (zero padding) become explicit zeros, so
+/// to kernel element (ic, ky, kx) with r = (ic * kh + ky) * kw + kx;
+/// out-of-range taps (zero padding) become explicit zeros, so
 /// every element of the row range is written.
 void pack_rows(const Tensord& ifm, Dim kh, Dim kw, const ConvConfig& config,
                Dim oh, Dim ow, Count row_begin, Count row_end,
@@ -110,7 +110,7 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
 
   Tensord ofm = Tensord::feature_map(oc, oh, ow);
   // The weight tensor's raw storage (OC, IC, KH, KW row-major) is
-  // already the OC x kernel_volume left-hand matrix in im2col_row_index
+  // already the OC x kernel_volume left-hand matrix in (ic, ky, kx) row
   // order -- no packing needed.
   const double* a = weights.data().data();
   double* c = ofm.data().data();

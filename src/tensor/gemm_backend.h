@@ -5,9 +5,9 @@
 ///
 /// This is the software analogue of the paper's im2col framing (§II-A)
 /// turned into an execution engine: the input feature map is lowered
-/// into a kernel_volume x windows matrix (rows in exactly the
-/// im2col_row_index order, so the weight tensor's raw storage already
-/// IS the left-hand matrix), and the convolution becomes one dense
+/// into a kernel_volume x windows matrix (rows in (ic, ky, kx) order,
+/// ic-major, so the weight tensor's raw storage already IS the
+/// left-hand matrix), and the convolution becomes one dense
 /// matrix-matrix product, cache-blocked and fanned out across the
 /// thread pool.
 ///

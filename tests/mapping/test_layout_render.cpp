@@ -13,7 +13,8 @@ namespace {
 TEST(LayoutRender, SmallTileShowsCells) {
   const ConvShape shape = ConvShape::square(5, 3, 1, 2);
   const ArrayGeometry geometry{16, 8};
-  const MappingPlan plan = build_plan_for_window(shape, geometry, {4, 3});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, geometry, vw_cost(shape, geometry, {4, 3}));
   const std::string art = render_tile(plan, 0, 0);
   EXPECT_NE(art.find("tile(0,0)"), std::string::npos);
   EXPECT_NE(art.find('#'), std::string::npos);
@@ -28,7 +29,8 @@ TEST(LayoutRender, SdkLayoutHasStructuralZeroInterleave) {
   // first 12 rows.
   const ConvShape shape = ConvShape::square(5, 3, 1, 1);
   const ArrayGeometry geometry{12, 2};
-  const MappingPlan plan = build_plan_for_window(shape, geometry, {4, 3});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, geometry, vw_cost(shape, geometry, {4, 3}));
   const ArrayTile& tile = plan.tile(0, 0);
   int programmed = 0;
   for_each_cell(plan.shape, tile,
@@ -42,7 +44,8 @@ TEST(LayoutRender, SdkLayoutHasStructuralZeroInterleave) {
 TEST(LayoutRender, LargeArrayTruncated) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
   const ArrayGeometry geometry{512, 512};
-  const MappingPlan plan = build_plan_for_window(shape, geometry, {4, 3});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, geometry, vw_cost(shape, geometry, {4, 3}));
   const std::string art = render_tile(plan, 0, 0, 8, 16);
   EXPECT_NE(art.find("showing top-left 8x16"), std::string::npos);
 }
@@ -50,21 +53,23 @@ TEST(LayoutRender, LargeArrayTruncated) {
 TEST(LayoutRender, TileIndexBoundsChecked) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
   const MappingPlan plan =
-      build_plan_for_window(shape, {64, 32}, {4, 3});
+      build_plan_for_cost(shape, {64, 32}, vw_cost(shape, {64, 32}, {4, 3}));
   EXPECT_THROW(render_tile(plan, 1, 0), InvalidArgument);
 }
 
 TEST(LayoutRender, DescribePlanSummarizes) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
   const MappingPlan plan =
-      build_plan_for_window(shape, {64, 32}, {4, 3});
+      build_plan_for_cost(shape, {64, 32}, vw_cost(shape, {64, 32}, {4, 3}));
   const std::string text = describe_plan(plan);
   EXPECT_NE(text.find("plan[windowed]"), std::string::npos);
   EXPECT_NE(text.find("base grid"), std::string::npos);
   EXPECT_NE(text.find("total cycles"), std::string::npos);
 
   const ConvShape small = ConvShape::square(6, 3, 1, 2);
-  const std::string smd_text = describe_plan(build_smd_plan(small, {64, 32}));
+  const ArrayGeometry geometry{64, 32};
+  const std::string smd_text = describe_plan(
+      build_plan_for_cost(small, geometry, smd_cost(small, geometry)));
   EXPECT_NE(smd_text.find("smd duplicates"), std::string::npos);
 }
 

@@ -26,7 +26,7 @@ TEST(PlanBuilder, WindowedPlanStructure) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
   ASSERT_TRUE(cost.feasible);
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
 
   EXPECT_EQ(plan.kind, PlanKind::kWindowed);
   EXPECT_EQ(plan.tiles.size(), 1u);
@@ -45,7 +45,7 @@ TEST(PlanBuilder, WindowedPlanClampedLastBaseOverlaps) {
   // windows_w = 5, per PW = 2 -> bases at windows 0, 2, 3 (clamped).
   const ConvShape shape = ConvShape::square(7, 3, 2, 2);
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   ASSERT_EQ(plan.base_x.size(), 3u);
   EXPECT_EQ(plan.base_x[0], 0);
   EXPECT_EQ(plan.base_x[1], 2);
@@ -59,7 +59,7 @@ TEST(PlanBuilder, WindowedPlanChannelTiling) {
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
   ASSERT_EQ(cost.ar_cycles, 2);
   ASSERT_EQ(cost.ac_cycles, 3);  // OC_t = 16 -> ceil(40/16) = 3
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   EXPECT_EQ(plan.tiles.size(), 6u);
   // First AR band holds channels 0..4, second 5..8.
   EXPECT_EQ(plan.tile(0, 0).rows.front().ic, 0);
@@ -73,7 +73,8 @@ TEST(PlanBuilder, WindowedPlanChannelTiling) {
 TEST(PlanBuilder, Im2colPlanDenseRows) {
   // K^2*IC = 9*8 = 72 > 64 rows -> AR = 2 element slices (64 + 8).
   const ConvShape shape = ConvShape::square(6, 3, 8, 10);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   EXPECT_EQ(plan.kind, PlanKind::kIm2colDense);
   ASSERT_EQ(plan.cost.ar_cycles, 2);
   EXPECT_EQ(plan.tiles[0].rows.size(), 64u);
@@ -89,7 +90,8 @@ TEST(PlanBuilder, Im2colPlanDenseRows) {
 
 TEST(PlanBuilder, Im2colPlanBaseGridIsEveryWindow) {
   const ConvShape shape = ConvShape::square(6, 3, 1, 1);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   EXPECT_EQ(plan.base_x.size(), 4u);
   EXPECT_EQ(plan.base_y.size(), 4u);
   EXPECT_EQ(plan.total_cycles(), 16);
@@ -99,7 +101,8 @@ TEST(PlanBuilder, SmdPlanBlockDiagonal) {
   // K^2*IC = 9, OC = 2: by_rows = floor(64/9) = 7, by_cols = 16 -> D = 7,
   // capped by 16 windows -> 7.
   const ConvShape shape = ConvShape::square(6, 3, 1, 2);
-  const MappingPlan plan = build_smd_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, smd_cost(shape, kSmall));
   EXPECT_EQ(plan.kind, PlanKind::kSmd);
   EXPECT_EQ(plan.cost.smd_duplicates, 7);
   ASSERT_EQ(plan.tiles.size(), 1u);
@@ -117,18 +120,22 @@ TEST(PlanBuilder, SmdPlanBlockDiagonal) {
 
 TEST(PlanBuilder, SmdFallsBackToIm2colWhenOneCopy) {
   const ConvShape shape = ConvShape::square(6, 3, 8, 10);  // 72 rows > 64
-  const MappingPlan plan = build_smd_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, smd_cost(shape, kSmall));
   EXPECT_EQ(plan.kind, PlanKind::kIm2colDense);
 }
 
 TEST(PlanBuilder, PlanForWindowDispatches) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
-  EXPECT_EQ(build_plan_for_window(shape, kSmall, {3, 3}).kind,
-            PlanKind::kIm2colDense);
-  EXPECT_EQ(build_plan_for_window(shape, kSmall, {4, 3}).kind,
+  EXPECT_EQ(
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall)).kind,
+      PlanKind::kIm2colDense);
+  EXPECT_EQ(build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}))
+                .kind,
             PlanKind::kWindowed);
-  EXPECT_THROW(build_plan_for_window(shape, kSmall, {30, 30}),
-               InvalidArgument);
+  EXPECT_THROW(
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {30, 30})),
+      InvalidArgument);
 }
 
 TEST(PlanBuilder, PlanForCostDispatches) {
@@ -150,10 +157,44 @@ TEST(PlanBuilder, PlanForCostDispatches) {
 TEST(PlanBuilder, RejectsInfeasibleOrForeignCosts) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
   const CycleCost infeasible = vw_cost(shape, kSmall, {30, 30});
-  EXPECT_THROW(build_windowed_plan(shape, kSmall, infeasible),
+  EXPECT_THROW(build_plan_for_cost(shape, kSmall, infeasible),
                InvalidArgument);
-  const CycleCost im2col = im2col_cost(shape, kSmall);
-  EXPECT_THROW(build_windowed_plan(shape, kSmall, im2col), InvalidArgument);
+  // An element-granular cost cuts the kernel window, not a parallel one.
+  CycleCost im2col = im2col_cost(shape, kSmall);
+  im2col.window = {4, 3};
+  EXPECT_THROW(build_plan_for_cost(shape, kSmall, im2col), InvalidArgument);
+  // Only element-granular (im2col) costs carry SMD duplicates.
+  CycleCost duplicated = vw_cost(shape, kSmall, {4, 3});
+  duplicated.smd_duplicates = 2;
+  EXPECT_THROW(build_plan_for_cost(shape, kSmall, duplicated),
+               InvalidArgument);
+}
+
+TEST(PlanBuilder, RejectsCostsItCannotRealize) {
+  // 9 IC x 40 OC on a 4x3 window: IC_t = 5 and OC_t = 16, so the cut has
+  // AR = 2 channel bands and AC = 3.  A cost claiming any other band
+  // count has no layout.
+  const ConvShape shape = ConvShape::square(8, 3, 9, 40);
+  const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
+  ASSERT_EQ(cost.ar_cycles, 2);
+  ASSERT_EQ(cost.ac_cycles, 3);
+  for (const Cycles delta : {-1, 1}) {
+    CycleCost ar = cost;
+    ar.ar_cycles += delta;
+    EXPECT_THROW(build_plan_for_cost(shape, kSmall, ar), InvalidArgument)
+        << "AR " << ar.ar_cycles;
+    CycleCost ac = cost;
+    ac.ac_cycles += delta;
+    EXPECT_THROW(build_plan_for_cost(shape, kSmall, ac), InvalidArgument)
+        << "AC " << ac.ac_cycles;
+  }
+  // 7 SMD copies of a 9-row kernel column fill 63 of 64 rows; 8 do not
+  // fit.
+  const ConvShape small = ConvShape::square(6, 3, 1, 2);
+  CycleCost smd = smd_cost(small, kSmall);
+  ASSERT_EQ(smd.smd_duplicates, 7);
+  smd.smd_duplicates = 8;
+  EXPECT_THROW(build_plan_for_cost(small, kSmall, smd), InvalidArgument);
 }
 
 TEST(PlanBuilder, StridedWindowedPlan) {
@@ -163,7 +204,7 @@ TEST(PlanBuilder, StridedWindowedPlan) {
   shape.stride_h = 2;
   const CycleCost cost = vw_cost(shape, kSmall, {5, 5});  // 2x2 windows/PW
   ASSERT_TRUE(cost.feasible);
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   EXPECT_EQ(plan.base_x.size(), 2u);
   EXPECT_EQ(plan.base_x[1], 4);  // second PW starts at window 2 -> pixel 4
   EXPECT_TRUE(validate_plan(plan).empty());
@@ -174,7 +215,7 @@ TEST(PlanBuilder, ProgrammedCellCountsMatchAnalyticWeights) {
   // once per window position across all tiles).
   const ConvShape shape = ConvShape::square(8, 3, 9, 40);
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   EXPECT_EQ(plan.programmed_cells(), 9LL * 9 * 2 * 40);
 }
 

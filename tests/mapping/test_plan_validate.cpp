@@ -15,7 +15,7 @@ const ArrayGeometry kSmall{64, 32};
 
 MappingPlan good_plan() {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
-  return build_plan_for_window(shape, kSmall, {4, 3});
+  return build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
 }
 
 bool has_issue(const MappingPlan& plan, const std::string& text) {
@@ -70,7 +70,8 @@ TEST(PlanValidate, DetectsRowOffsetOutsideWindow) {
   EXPECT_TRUE(has_issue(plan, "row key (0,0,4,0) outside the layer or the "
                               "4x3 window"));
   // SMD rows range over the 3x3 kernel.
-  plan = build_smd_plan(ConvShape::square(6, 3, 1, 2), kSmall);
+  const ConvShape small = ConvShape::square(6, 3, 1, 2);
+  plan = build_plan_for_cost(small, kSmall, smd_cost(small, kSmall));
   ASSERT_EQ(plan.kind, PlanKind::kSmd);
   plan.tiles[0].rows.front().dy = 3;
   EXPECT_TRUE(has_issue(plan, "the 3x3 window"));
@@ -91,7 +92,8 @@ TEST(PlanValidate, DetectsColumnKeyOutsideLayerOrWindow) {
   // A 4x3 window holds 2x1 kernel windows: win_px in [0, 2).
   plan.tiles[0].cols.front().win_px = 2;
   EXPECT_TRUE(has_issue(plan, "col key (0,0,2,0) outside"));
-  plan = build_smd_plan(ConvShape::square(6, 3, 1, 2), kSmall);
+  const ConvShape small = ConvShape::square(6, 3, 1, 2);
+  plan = build_plan_for_cost(small, kSmall, smd_cost(small, kSmall));
   plan.tiles[0].cols.front().dup = plan.cost.smd_duplicates;
   EXPECT_TRUE(has_issue(plan, "col key (0,0,0,7) outside"));
 }
@@ -99,7 +101,8 @@ TEST(PlanValidate, DetectsColumnKeyOutsideLayerOrWindow) {
 TEST(PlanValidate, DetectsBandBindingsThatDifferAcrossTiles) {
   // 9 IC x 40 OC with a 4x3 window: AR = 2 channel bands, AC = 3.
   const ConvShape shape = ConvShape::square(8, 3, 9, 40);
-  const MappingPlan good = build_plan_for_window(shape, kSmall, {4, 3});
+  const MappingPlan good =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
   ASSERT_EQ(good.tiles.size(), 6u);
   ASSERT_TRUE(validate_plan(good).empty());
 
@@ -178,9 +181,13 @@ TEST(PlanValidate, DetectsEmptyPlan) {
 
 TEST(PlanValidate, SmdAndIm2colPlansValidate) {
   const ConvShape small = ConvShape::square(6, 3, 1, 2);
-  EXPECT_TRUE(validate_plan(build_smd_plan(small, kSmall)).empty());
+  EXPECT_TRUE(
+      validate_plan(build_plan_for_cost(small, kSmall, smd_cost(small, kSmall)))
+          .empty());
   const ConvShape split = ConvShape::square(6, 3, 8, 10);
-  EXPECT_TRUE(validate_plan(build_im2col_plan(split, kSmall)).empty());
+  EXPECT_TRUE(validate_plan(build_plan_for_cost(split, kSmall,
+                                                im2col_cost(split, kSmall)))
+                  .empty());
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST(ElementSplit, ColumnSplitAcrossAcTiles) {
   ASSERT_TRUE(cost.feasible);
   ASSERT_EQ(cost.ac_cycles, 3);
   ASSERT_EQ(cost.ar_cycles, 1);
-  const MappingPlan plan = build_element_split_plan(shape, geometry, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, geometry, cost);
   EXPECT_TRUE(validate_plan(plan).empty());
   const VerificationReport report = verify_mapping_random(plan, 99);
   EXPECT_TRUE(report.exact_match) << report.summary;
@@ -69,26 +69,29 @@ TEST(ElementSplit, BothAxesSplitSimultaneously) {
   ASSERT_TRUE(cost.feasible);
   ASSERT_GT(cost.ar_cycles, 1);
   ASSERT_GT(cost.ac_cycles, 1);
-  const MappingPlan plan = build_element_split_plan(shape, geometry, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, geometry, cost);
   EXPECT_TRUE(validate_plan(plan).empty());
   const VerificationReport report = verify_mapping_random(plan, 13);
   EXPECT_TRUE(report.exact_match) << report.summary;
 }
 
 TEST(ElementSplit, RejectsNonSdkCosts) {
-  // A channel-tiled VW cost whose AR differs from Eq. (1)'s element
-  // split: IC = 16 on 64 rows with a 4x3 window gives IC_t = 5 ->
-  // AR = ceil(16/5) = 4, while element splitting would need only
-  // ceil(192/64) = 3 arrays.  The builder must refuse to mislabel it.
+  // A channel-tiled VW cost relabelled as entire-channel, keeping its AR:
+  // IC = 16 on 64 rows with a 4x3 window gives IC_t = 5 ->
+  // AR = ceil(16/5) = 4, while element splitting whole channels would
+  // need only ceil(192/64) = 3 arrays.  The builder must refuse to
+  // mislabel it.
   const ConvShape shape = ConvShape::square(8, 3, 16, 6);
   const ArrayGeometry geometry{64, 32};
-  const CycleCost vw = vw_cost(shape, geometry, {4, 3});
+  CycleCost vw = vw_cost(shape, geometry, {4, 3});
   ASSERT_EQ(vw.ar_cycles, 4);
-  EXPECT_THROW(build_element_split_plan(shape, geometry, vw),
+  vw.ic_t = shape.in_channels;
+  EXPECT_THROW(build_plan_for_cost(shape, geometry, vw),
                InvalidArgument);
   // im2col costs are element-granular of the *kernel*, not of a window.
-  const CycleCost im2col = im2col_cost(shape, geometry);
-  EXPECT_THROW(build_element_split_plan(shape, geometry, im2col),
+  CycleCost im2col = im2col_cost(shape, geometry);
+  im2col.window = {4, 3};
+  EXPECT_THROW(build_plan_for_cost(shape, geometry, im2col),
                InvalidArgument);
 }
 

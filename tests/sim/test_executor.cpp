@@ -20,8 +20,7 @@ const ArrayGeometry kSmall{64, 32};
 
 MappingPlan sample_plan() {
   const ConvShape shape = ConvShape::square(8, 3, 9, 40);
-  return build_windowed_plan(shape, kSmall,
-                             vw_cost(shape, kSmall, {4, 3}));
+  return build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
 }
 
 std::pair<Tensord, Tensord> sample_tensors(const ConvShape& shape,
@@ -61,8 +60,10 @@ TEST(Executor, AnalyticActivityMatchesForIm2colAndSmd) {
   for (const ConvShape& shape :
        {ConvShape::square(6, 3, 8, 10),    // im2col with AR split
         ConvShape::square(6, 3, 1, 2)}) {  // SMD with duplicates
-    plans.push_back(build_im2col_plan(shape, kSmall));
-    plans.push_back(build_smd_plan(shape, kSmall));
+    plans.push_back(
+        build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall)));
+    plans.push_back(
+        build_plan_for_cost(shape, kSmall, smd_cost(shape, kSmall)));
   }
   // SDK's entire-channel 8x8 window of a 7x7 layer split at element
   // granularity over AR = 3 slices (IC_t = IC, so a per-channel tile walk
@@ -70,7 +71,7 @@ TEST(Executor, AnalyticActivityMatchesForIm2colAndSmd) {
   const ConvShape k7 = ConvShape::square(32, 7, 24, 64);
   const ArrayGeometry paper{512, 512};
   plans.push_back(
-      build_element_split_plan(k7, paper, sdk_cost(k7, paper, {8, 8})));
+      build_plan_for_cost(k7, paper, sdk_cost(k7, paper, {8, 8})));
   ASSERT_EQ(plans.back().cost.ar_cycles, 3);
   ASSERT_EQ(plans.back().cost.total, 507);
 
@@ -115,7 +116,8 @@ TEST(Executor, ValidatesPlanUnlessDisabled) {
 
 TEST(Executor, QuantizedAdcDegradesGracefully) {
   const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_plan_for_window(shape, kSmall, {4, 4});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 4}));
   const auto [ifm, weights] = sample_tensors(shape, 7);
   const Tensord reference = conv2d_direct(ifm, weights);
 
@@ -135,7 +137,8 @@ TEST(Executor, QuantizedAdcDegradesGracefully) {
 
 TEST(Executor, NoiseGrowsWithSigma) {
   const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_plan_for_window(shape, kSmall, {4, 4});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 4}));
   const auto [ifm, weights] = sample_tensors(shape, 8);
   const Tensord reference = conv2d_direct(ifm, weights);
 
@@ -157,7 +160,8 @@ TEST(Executor, NoiseGrowsWithSigma) {
 
 TEST(Executor, NoiseIsDeterministicPerSeed) {
   const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_plan_for_window(shape, kSmall, {4, 4});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 4}));
   const auto [ifm, weights] = sample_tensors(shape, 9);
   ExecutionOptions options;
   options.noise.additive_sigma = 0.05;
@@ -214,6 +218,7 @@ TEST(Executor, NoisyQuantizedOutputIsPinned) {
   // AR partial sum, the accumulation order, and which overlapping window
   // commits last.  The digests pin all of it.
   const ConvShape clamped = ConvShape::square(9, 3, 4, 6);
+  const ConvShape small = ConvShape::square(6, 3, 1, 2);
   const ConvShape k7 = ConvShape::square(32, 7, 24, 64);
   const ArrayGeometry paper{512, 512};
   struct Case {
@@ -226,10 +231,10 @@ TEST(Executor, NoisyQuantizedOutputIsPinned) {
                            sdk_cost(clamped, kSmall, {4, 4})),
        0xaaffedd97842566dULL},
       // SDK 8x8 windows split at element granularity over AR = 3.
-      {build_element_split_plan(k7, paper, sdk_cost(k7, paper, {8, 8})),
+      {build_plan_for_cost(k7, paper, sdk_cost(k7, paper, {8, 8})),
        0x25dd4cfe318b0358ULL},
       // SMD with an idle duplicate block in the final cycle.
-      {build_smd_plan(ConvShape::square(6, 3, 1, 2), kSmall),
+      {build_plan_for_cost(small, kSmall, smd_cost(small, kSmall)),
        0xbc3cd525da3908e5ULL},
   };
   ASSERT_EQ(cases[0].plan.kind, PlanKind::kWindowed);

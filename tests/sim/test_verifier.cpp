@@ -13,7 +13,8 @@ const ArrayGeometry kSmall{64, 32};
 
 TEST(Verifier, ReportsExactMatchForIdealExecution) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
-  const MappingPlan plan = build_plan_for_window(shape, kSmall, {4, 3});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
   const VerificationReport report = verify_mapping_random(plan, 42);
   EXPECT_TRUE(report.exact_match);
   EXPECT_EQ(report.max_abs_error, 0.0);
@@ -24,7 +25,8 @@ TEST(Verifier, ReportsExactMatchForIdealExecution) {
 
 TEST(Verifier, DeterministicForSeed) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
-  const MappingPlan plan = build_plan_for_window(shape, kSmall, {4, 3});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
   const VerificationReport a = verify_mapping_random(plan, 7);
   const VerificationReport b = verify_mapping_random(plan, 7);
   EXPECT_EQ(a.summary, b.summary);
@@ -32,7 +34,8 @@ TEST(Verifier, DeterministicForSeed) {
 
 TEST(Verifier, QuantizedAdcReportsBoundedError) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
-  const MappingPlan plan = build_plan_for_window(shape, kSmall, {4, 3});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
   ExecutionOptions options;
   options.adc = ConverterModel(8, -512.0, 512.0);
   const VerificationReport report = verify_mapping_random(plan, 42, 4,
@@ -46,7 +49,8 @@ TEST(Verifier, QuantizedAdcReportsBoundedError) {
 
 TEST(Verifier, ExplicitTensorsOverload) {
   const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   Rng rng(5);
   Tensord ifm = Tensord::feature_map(2, 6, 6);
   Tensord weights = Tensord::weights(3, 2, 3, 3);
@@ -61,7 +65,8 @@ TEST(Verifier, ExplicitTensorsOverload) {
 // oracle and the gemm engine must yield identical reports.
 TEST(Verifier, BackendSelectionAgreesAcrossBackends) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
-  const MappingPlan plan = build_plan_for_window(shape, kSmall, {4, 3});
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
   ExecutionOptions scalar_opts;
   scalar_opts.ref_backend = "scalar";
   ExecutionOptions gemm_opts;
@@ -77,7 +82,8 @@ TEST(Verifier, BackendSelectionAgreesAcrossBackends) {
 
 TEST(Verifier, UnknownBackendThrowsNotFound) {
   const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   ExecutionOptions options;
   options.ref_backend = "no-such-backend";
   EXPECT_THROW(verify_mapping_random(plan, 1, 1, options), NotFound);
@@ -85,7 +91,8 @@ TEST(Verifier, UnknownBackendThrowsNotFound) {
 
 TEST(Verifier, ReferenceConvolutionReusesWorkspace) {
   const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   Rng rng(5);
   Tensord ifm = Tensord::feature_map(2, 6, 6);
   Tensord weights = Tensord::weights(3, 2, 3, 3);

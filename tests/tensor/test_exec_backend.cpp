@@ -223,6 +223,59 @@ TEST(BackendParity, StridePadKernelSandwich) {
   expect_parity(c, gemm, &workspace, seed);
 }
 
+// The im2col+GEMM backend, under its alias, on a default-config layer.
+TEST(Im2colConv, MatchesDirectConvExactly) {
+  Rng rng(77);
+  Tensord ifm = Tensord::feature_map(3, 7, 6);
+  Tensord w = Tensord::weights(5, 3, 3, 3);
+  fill_random_int(ifm, rng, 4);
+  fill_random_int(w, rng, 4);
+  const Tensord direct = conv2d_direct(ifm, w);
+  const Tensord lowered =
+      BackendRegistry::instance().get("im2col-gemm").conv2d(
+          ifm, w, ConvConfig{}, nullptr);
+  EXPECT_TRUE(exactly_equal(direct, lowered));
+}
+
+struct Im2colCase {
+  Dim ih, iw, k, ic, oc, stride, pad;
+};
+
+class Im2colEquivalence : public ::testing::TestWithParam<Im2colCase> {};
+
+// Every registered execution backend must agree bitwise with the direct
+// oracle on the same integer tensors -- the registry's core contract.
+TEST_P(Im2colEquivalence, AgreesWithDirect) {
+  const Im2colCase& c = GetParam();
+  Rng rng(1000 + static_cast<std::uint64_t>(c.ih * 31 + c.k));
+  Tensord ifm = Tensord::feature_map(c.ic, c.ih, c.iw);
+  Tensord w = Tensord::weights(c.oc, c.ic, c.k, c.k);
+  fill_random_int(ifm, rng, 3);
+  fill_random_int(w, rng, 3);
+  ConvConfig config;
+  config.stride_w = c.stride;
+  config.stride_h = c.stride;
+  config.pad_w = c.pad;
+  config.pad_h = c.pad;
+  const Tensord direct = conv2d_direct(ifm, w, config);
+  const BackendRegistry& registry = BackendRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    EXPECT_TRUE(exactly_equal(
+        direct, registry.get(name).conv2d(ifm, w, config, nullptr)))
+        << "backend " << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Im2colEquivalence,
+    ::testing::Values(Im2colCase{5, 5, 3, 1, 1, 1, 0},
+                      Im2colCase{8, 8, 3, 4, 8, 1, 0},
+                      Im2colCase{7, 9, 3, 2, 3, 1, 1},
+                      Im2colCase{9, 9, 3, 2, 2, 2, 0},
+                      Im2colCase{6, 6, 5, 3, 2, 1, 2},
+                      Im2colCase{10, 7, 1, 3, 4, 1, 0},
+                      Im2colCase{12, 12, 7, 1, 2, 2, 3}));
+
 // Grouped execution the way the pipeline runs it: slice each group's
 // channels, convolve through both backends (gemm reusing one workspace
 // across groups), scatter into the layer OFM, compare layer-level.

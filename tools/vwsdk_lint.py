@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Nine rules, each enforcing a contract the
+tools/check_doc_comments.py.  Ten rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -48,6 +48,12 @@ codebase documents elsewhere:
                    enumerate_windows (mapping/parallel_window.cpp) --
                    a mapper that needs another scan configures the
                    engine instead of copying the loop.
+  plan-layout      row and column bindings (`RowBinding{` /
+                   `ColBinding{`) are constructed in src/ only by the
+                   one plan builder (mapping/plan_builder.cpp) -- every
+                   mapping is a cut of the same window matrix, so a new
+                   mapping sets the cut's strides in that builder
+                   instead of writing a second tile loop.
 
 ``--self-test`` first runs every rule against embedded known-bad
 snippets and fails if any rule has gone blind; then the real tree is
@@ -555,6 +561,31 @@ def rule_window_scan(tree: dict[str, str]) -> list[Failure]:
     return failures
 
 
+PLAN_LAYOUT_HOME = "src/mapping/plan_builder.cpp"
+# A binding built by brace initialization -- but not the struct's own
+# definition.
+PLAN_LAYOUT_RE = re.compile(r"(?<!struct )\b(?:Row|Col)Binding\s*\{")
+
+
+def rule_plan_layout(tree: dict[str, str]) -> list[Failure]:
+    """Plans are laid out once: outside the plan builder no src/ file may
+    construct a RowBinding or ColBinding -- cut the window matrix with
+    build_plan_for_cost (mapping/plan_builder.h) instead."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path == PLAN_LAYOUT_HOME:
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for match in PLAN_LAYOUT_RE.finditer(code):
+            failures.append(
+                f"{path}:{line_of(code, match.start())}: a binding built "
+                "outside the plan builder -- lay plans out with "
+                "build_plan_for_cost (mapping/plan_builder.h)")
+    return failures
+
+
 # --------------------------------------------------------------------------
 # Self-tests: one known-bad snippet per rule; a rule that stays silent
 # on its bad snippet has gone blind and the lint run fails.
@@ -688,6 +719,14 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/core/other_mapper.cpp":
             "for (Dim height = context.shape.kernel_h; height < n; ++height)",
     }),
+    ("plan-layout", rule_plan_layout, {
+        "src/sim/my_plan.cpp":
+            "tile.rows.push_back(RowBinding{row, ic, dy, dx, 0});",
+    }),
+    ("plan-layout", rule_plan_layout, {
+        "src/mapping/plan_validate.cpp":
+            "const ColBinding probe = ColBinding {0, oc, 0, 0, 0};",
+    }),
     ("nolint-discipline", rule_nolint_discipline, {
         # specific check but no justification
         "src/core/bad.cpp":
@@ -746,6 +785,17 @@ CLEAN_TREES = [
             "for (Dim w = shape.kernel_w; w <= shape.padded_w(); ++w) {}\n"
             "for (Dim h = 0; h < shape.kernel_h; ++h) {}\n"),
     }),
+    (rule_plan_layout, {
+        "src/mapping/plan_builder.cpp":
+            "return RowBinding{row, ic, dy, dx, dup};",
+        # the struct definitions, a comment, and reading bindings
+        "src/mapping/mapping_plan.h": (
+            "struct RowBinding {\n  Dim row = 0;\n};\n"
+            "struct ColBinding {\n  Dim col = 0;\n};\n"),
+        "src/sim/ok.cpp": (
+            "// RowBinding{...} is built by the plan builder\n"
+            "for (const RowBinding& rb : tile.rows) {}\n"),
+    }),
 ]
 
 
@@ -779,6 +829,7 @@ RULES = [
     ("ceil-div", rule_ceil_div),
     ("nolint-discipline", rule_nolint_discipline),
     ("window-scan", rule_window_scan),
+    ("plan-layout", rule_plan_layout),
 ]
 
 
