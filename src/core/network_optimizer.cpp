@@ -62,24 +62,17 @@ ThreadPool* borrow_or_create_pool(const OptimizerOptions& options,
   return owned.get();
 }
 
-/// The shape a layer's mapper actually searches: the full convolution for
-/// dense layers, one group's sub-convolution (IC/G -> OC/G) for grouped
-/// layers -- groups are identical and mapped independently, so the layer
-/// total is G x the per-group cycles (applied in LayerMapping::cycles).
-ConvShape mapping_shape(const ConvLayerDesc& layer) {
-  ConvShape shape = ConvShape::from_layer(layer);
-  shape.in_channels = layer.group_in_channels();
-  shape.out_channels = layer.group_out_channels();
-  return shape;
-}
-
 /// One layer's search: through the cache when one is given, spread over
-/// `pool` (may be null) when `intra_layer` asks for it.
-MappingDecision map_layer(const Mapper& mapper, const ConvShape& shape,
+/// `pool` (may be null) when `intra_layer` asks for it.  A grouped layer
+/// searches one group's sub-convolution -- groups are identical and
+/// mapped independently, so the layer total is G x the per-group cycles
+/// (applied in LayerMapping::cycles).
+MappingDecision map_layer(const Mapper& mapper, const ConvLayerDesc& layer,
                           const ArrayGeometry& geometry,
                           const OptimizerOptions& options,
                           ThreadPool* intra_pool) {
-  MappingContext context{shape, geometry};
+  MappingContext context{ConvShape::from_layer(layer.one_group()),
+                         geometry};
   context.objective = options.objective;
   context.pool = intra_pool;
   context.cache = options.cache;
@@ -129,15 +122,15 @@ NetworkMappingResult optimize_network(const Mapper& mapper,
                       for (Count i = begin; i < end; ++i) {
                         const auto index = static_cast<std::size_t>(i);
                         decisions[index] = map_layer(
-                            mapper, mapping_shape(layers[index]), geometry,
-                            options, nullptr);
+                            mapper, layers[index], geometry, options,
+                            nullptr);
                       }
                     });
   } else {
     ThreadPool* intra_pool = within_layer ? pool : nullptr;
     for (std::size_t i = 0; i < layers.size(); ++i) {
-      decisions[i] = map_layer(mapper, mapping_shape(layers[i]), geometry,
-                               options, intra_pool);
+      decisions[i] =
+          map_layer(mapper, layers[i], geometry, options, intra_pool);
     }
   }
 

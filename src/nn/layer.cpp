@@ -33,6 +33,15 @@ Dim ConvLayerDesc::group_out_channels() const {
   return out_channels / groups;
 }
 
+ConvLayerDesc ConvLayerDesc::one_group() const {
+  validate();
+  ConvLayerDesc group = *this;
+  group.in_channels = group_in_channels();
+  group.out_channels = group_out_channels();
+  group.groups = 1;
+  return group;
+}
+
 Dim ConvLayerDesc::ofm_w() const {
   return conv_output_extent(ifm_w, kernel_w, config.stride_w, config.pad_w);
 }

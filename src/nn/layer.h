@@ -39,6 +39,11 @@ struct ConvLayerDesc {
   Dim group_in_channels() const;
   Dim group_out_channels() const;
 
+  /// One group's independent sub-convolution as a dense layer: IC/G ->
+  /// OC/G channels, groups = 1, everything else unchanged (the layer
+  /// itself when G = 1).  Validates this layer first.
+  ConvLayerDesc one_group() const;
+
   /// Output extents under `config`.
   Dim ofm_w() const;
   Dim ofm_h() const;

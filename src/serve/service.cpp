@@ -220,9 +220,7 @@ NetworkVerifyResult ServiceApi::verify(const VerifyQuery& query) {
   const ArrayGeometry geometry = resolve_query_geometry(query.array, spec);
   const auto mapper = make_mapper(query.mapper);
   ExecutionOptions options;
-  // Resolve now: an unknown backend is a usage error before any layer
-  // runs (throws NotFound listing the registered names).
-  options.ref_backend = resolve_ref_backend(query.ref_backend);
+  options.ref_backend = query.ref_backend;
   return verify_network(spec.network, *mapper, geometry, query.seed,
                         options);
 }

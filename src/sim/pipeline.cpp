@@ -1,11 +1,9 @@
 #include "sim/pipeline.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "common/string_util.h"
-#include "core/grouped_conv.h"
-#include "mapping/plan_builder.h"
 #include "tensor/pooling.h"
 #include "tensor/tensor_ops.h"
 
@@ -23,22 +21,6 @@ std::string PipelineResult::summary() const {
   }
   return out;
 }
-
-namespace {
-
-/// Merge one group's verification into the stage-level report (counts
-/// add, matches AND together, the worst error wins).
-void accumulate_verification(VerificationReport& stage,
-                             const VerificationReport& group) {
-  stage.exact_match = stage.exact_match && group.exact_match;
-  stage.max_abs_error = std::max(stage.max_abs_error, group.max_abs_error);
-  stage.executed_cycles += group.executed_cycles;
-  stage.analytic_cycles += group.analytic_cycles;
-  stage.cycles_match = stage.cycles_match && group.cycles_match;
-  stage.programmed_cells += group.programmed_cells;
-}
-
-}  // namespace
 
 PipelineResult run_pipeline(const std::vector<StageSpec>& stages,
                             const Tensord& input, const Mapper& mapper,
@@ -60,7 +42,6 @@ PipelineResult run_pipeline(const std::vector<StageSpec>& stages,
   for (std::size_t i = 0; i < stages.size(); ++i) {
     const StageSpec& spec = stages[i];
     spec.conv.validate();
-    const Dim groups = spec.conv.groups;
     const Shape4 expected{1, spec.conv.in_channels, spec.conv.ifm_h,
                           spec.conv.ifm_w};
     VWSDK_REQUIRE(result.output.shape() == expected,
@@ -78,70 +59,13 @@ PipelineResult run_pipeline(const std::vector<StageSpec>& stages,
                          spec.conv.kernel_w);
     fill_random_int(weights, rng, 3);
 
-    // One group's sub-convolution (== the full layer when G = 1).  The
-    // groups are identical, so a single mapping and plan serves all of
-    // them; each group then runs -- and verifies against the dense
-    // reference -- independently on its own channel slice.
-    GroupedConvShape grouped;
-    grouped.base = ConvShape::from_layer(spec.conv);
-    grouped.groups = groups;
-    const ConvShape shape = grouped.group_shape();
+    // Map, build, then run and verify every group (sim/verifier.h).
+    LayerRun run = run_layer(spec.conv, mapper, geometry, result.output,
+                             weights, options, &workspace);
     StageResult stage;
-    stage.decision = mapper.map(shape, geometry);
-    const MappingPlan plan =
-        build_plan_for_cost(shape, geometry, stage.decision.cost);
-
-    const Dim group_ic = spec.conv.group_in_channels();
-    const Dim group_oc = spec.conv.group_out_channels();
-    Tensord feature_map;
-    if (groups > 1) {
-      // Preallocate the layer-level OFM the groups scatter into; dense
-      // stages take the executed OFM by move instead.
-      feature_map = Tensord::feature_map(
-          spec.conv.out_channels, spec.conv.ofm_h(), spec.conv.ofm_w());
-    }
-    for (Dim g = 0; g < groups; ++g) {
-      // Dense stages skip the slicing entirely -- the single "group" IS
-      // the layer, so the tensors pass through unchanged.
-      Tensord sliced_ifm;
-      Tensord sliced_weights;
-      const Tensord* group_ifm = &result.output;
-      const Tensord* group_weights = &weights;
-      if (groups > 1) {
-        sliced_ifm = slice_channels(result.output, g * group_ic, group_ic);
-        sliced_weights = slice_outer(weights, g * group_oc, group_oc);
-        group_ifm = &sliced_ifm;
-        group_weights = &sliced_weights;
-      }
-      // One execution per group: verify against the selected reference
-      // backend and keep the executed OFM for the layer feature map.
-      ExecutionResult executed =
-          execute_plan(plan, *group_ifm, *group_weights, options);
-      const Tensord reference = reference_convolution(
-          plan, *group_ifm, *group_weights, options, &workspace);
-      const VerificationReport verification =
-          verify_execution(plan, executed, reference);
-      if (g == 0) {
-        stage.verification = verification;
-      } else {
-        accumulate_verification(stage.verification, verification);
-      }
-      result.activity.accumulate(executed.activity);
-      if (groups > 1) {
-        write_channels(feature_map, executed.ofm, g * group_oc);
-      } else {
-        feature_map = std::move(executed.ofm);
-      }
-    }
-    if (groups > 1) {
-      stage.verification.summary = cat(
-          groups, " groups x [", stage.decision.cost.to_string(), "]: ",
-          stage.verification.exact_match ? "EXACT match" : "mismatch",
-          " (max_abs_err=", stage.verification.max_abs_error, "), cycles ",
-          stage.verification.executed_cycles, "/",
-          stage.verification.analytic_cycles,
-          stage.verification.cycles_match ? " (match)" : " (MISMATCH)");
-    }
+    stage.decision = std::move(run.verification.decision);
+    stage.verification = std::move(run.verification.report);
+    result.activity.accumulate(run.activity);
     result.all_verified =
         result.all_verified && stage.verification.exact_match &&
         stage.verification.cycles_match;
@@ -149,6 +73,7 @@ PipelineResult run_pipeline(const std::vector<StageSpec>& stages,
         result.total_cycles + stage.verification.executed_cycles;
 
     // Digital post-ops on the assembled layer-level feature map.
+    Tensord feature_map = std::move(run.ofm);
     if (spec.relu) {
       feature_map = relu(feature_map);
     }

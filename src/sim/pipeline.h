@@ -3,12 +3,14 @@
 /// @file pipeline.h
 /// Whole-network functional simulation on the PIM substrate.
 ///
-/// Chains conv stages (each mapped by a chosen algorithm, built into a
-/// plan, and executed on crossbars) with ReLU and pooling in the digital
-/// periphery -- a miniature end-to-end PIM inference.  Used by the
-/// functional-verification example and integration tests; the paper's
-/// full-size networks are evaluated analytically (their functional
-/// execution is exact but needlessly slow at billions of MACs).
+/// Chains conv stages with ReLU and pooling in the digital periphery -- a
+/// miniature end-to-end PIM inference.  Each conv stage is one call of
+/// the verification driver run_layer (sim/verifier.h), which maps, builds,
+/// executes and verifies it group by group; the pipeline itself only
+/// checks that the stages chain, seeds the weights and applies the
+/// post-ops.  Used by the custom-network example and integration tests;
+/// the paper's full-size networks are evaluated analytically (their
+/// functional execution is exact but needlessly slow at billions of MACs).
 
 #include <string>
 #include <vector>
@@ -48,15 +50,12 @@ struct PipelineResult {
 /// Run `stages` starting from `input`.  Weights for stage i are generated
 /// deterministically from `weight_seed` + i (integer-valued, grouped
 /// layout (OC, IC/G, K_h, K_w)).  Each stage's conv descriptor must match
-/// the incoming tensor's shape (validated).  Every stage is verified --
-/// against the reference backend `options.ref_backend` selects (see
-/// tensor/exec_backend.h) -- before its post-ops are applied.  Grouped
-/// stages (groups > 1, depthwise included) run one group at a time on
-/// their channel slices -- a single per-group mapping/plan serves every
-/// group, each group executes exactly once, and one backend workspace is
-/// reused across all groups and stages -- and concatenate the group OFMs
-/// channel-wise; each group is verified against the dense reference
-/// convolution of its slice.
+/// the incoming tensor's shape (validated).  Every stage runs through
+/// run_layer -- verified against the reference backend
+/// `options.ref_backend` selects (see tensor/exec_backend.h) -- before its
+/// post-ops are applied; grouped stages (groups > 1, depthwise included)
+/// run group by group on their channel slices there.  One backend
+/// workspace is reused across all groups and stages.
 PipelineResult run_pipeline(const std::vector<StageSpec>& stages,
                             const Tensord& input, const Mapper& mapper,
                             const ArrayGeometry& geometry,

@@ -5,6 +5,11 @@
 /// crossbar simulator and compare with a reference convolution computed
 /// by the execution backend ExecutionOptions::ref_backend selects
 /// (tensor/exec_backend.h; default "gemm", with "scalar" as the oracle).
+///
+/// run_layer is the one verification driver: map, build, then per group
+/// execute, reference and compare.  verify_network (the CLI, serve and
+/// ServiceApi::verify) and run_pipeline (sim/pipeline.h) are thin callers
+/// of it, and verify_mapping is its per-group step on a given plan.
 
 #include <cstdint>
 #include <string>
@@ -34,7 +39,7 @@ struct VerificationReport {
 /// The reference OFM for `plan` on (ifm, weights), computed by the
 /// backend `options.ref_backend` resolves to with the plan's
 /// stride/padding.  `workspace` is optional backend scratch, reusable
-/// across calls (the pipeline shares one across groups and stages).
+/// across calls (run_layer shares its caller's across groups).
 Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
                               const Tensord& weights,
                               const ExecutionOptions& options = {},
@@ -42,7 +47,7 @@ Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
 
 /// Build the report comparing an already-run execution against an
 /// already-computed reference OFM.  Callers that need the executed
-/// tensor itself (the pipeline does) use this to verify without running
+/// tensor itself (run_layer does) use this to verify without running
 /// the plan twice.
 VerificationReport verify_execution(const MappingPlan& plan,
                                     const ExecutionResult& executed,
@@ -70,6 +75,29 @@ struct LayerVerification {
   VerificationReport report{};  ///< simulator-vs-reference outcome
 };
 
+/// One layer run by the verification driver.
+struct LayerRun {
+  LayerVerification verification{};  ///< groups folded into one report
+  Tensord ofm;                        ///< (1, OC, OH, OW), groups in order
+  EnergyReport activity{};            ///< Σ crossbar activity over groups
+};
+
+/// The verification driver.  Maps one group's sub-convolution of `layer`
+/// with `mapper` on `geometry` and builds its plan once; then each of the
+/// layer's G groups runs that plan on its channel slice of `ifm`
+/// (1, IC, I_h, I_w) and `weights` (OC, IC/G, K_h, K_w) -- dense layers
+/// pass through unsliced -- and verifies against the reference backend.
+/// The group reports fold into one (counts add, matches AND together,
+/// the worst error wins) and the group OFMs concatenate channel-wise.
+/// `workspace` is optional reference-backend scratch shared by the
+/// groups (and by whatever else the caller passes it to); nullptr lets
+/// each reference allocate and free its own.
+LayerRun run_layer(const ConvLayerDesc& layer, const Mapper& mapper,
+                   const ArrayGeometry& geometry, const Tensord& ifm,
+                   const Tensord& weights,
+                   const ExecutionOptions& options = {},
+                   ConvWorkspace* workspace = nullptr);
+
 /// A whole network verified layer by layer on the crossbar simulator
 /// (the computation behind `vwsdk verify` and the serve `verify` op).
 struct NetworkVerifyResult {
@@ -88,9 +116,11 @@ struct NetworkVerifyResult {
 /// Map each layer of `network` with `mapper` on `geometry`, build its
 /// plan, execute it on the crossbar simulator with deterministic integer
 /// tensors (layer i uses seed + i), and compare against the reference
-/// backend `options.ref_backend` resolves to.  Grouped layers verify one
-/// group's sub-convolution (all groups are identical).  A mismatch is
-/// reported per layer, never thrown.
+/// backend `options.ref_backend` resolves to.  The backend is resolved
+/// before any layer runs.  Grouped layers verify one group's
+/// sub-convolution (all groups are identical).  Each layer runs through
+/// run_layer without a shared workspace, so no reference scratch outlives
+/// its layer.  A mismatch is reported per layer, never thrown.
 NetworkVerifyResult verify_network(const Network& network,
                                    const Mapper& mapper,
                                    const ArrayGeometry& geometry,

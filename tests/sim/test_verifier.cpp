@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/error.h"
+#include "core/serialize.h"
+#include "core/vwsdk_mapper.h"
 #include "mapping/plan_builder.h"
 #include "tensor/tensor_ops.h"
 
@@ -106,6 +111,42 @@ TEST(Verifier, ReferenceConvolutionReusesWorkspace) {
   const Tensord second = reference_convolution(plan, ifm, weights, {},
                                                &workspace);
   EXPECT_TRUE(exactly_equal(first, second));
+}
+
+/// FNV-1a, 64 bit.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char byte : bytes) {
+    hash = (hash ^ byte) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Grouped layers verify one group's sub-convolution; the payload (the
+// `vwsdk verify --format json` and serve `verify` result) is pinned byte
+// for byte on a depthwise, a grouped (G = 4) and a dense layer.
+TEST(Verifier, NetworkWithGroupedLayersIsPinned) {
+  Network network("grouped-mix");
+  ConvLayerDesc depthwise = make_conv_layer("dw", 10, 3, 8, 8);
+  depthwise.groups = 8;
+  network.add_layer(depthwise);
+  ConvLayerDesc grouped = make_conv_layer("g4", 8, 3, 8, 12);
+  grouped.groups = 4;
+  network.add_layer(grouped);
+  network.add_layer(make_conv_layer("dense", 6, 3, 12, 16));
+
+  // The backend is named, not left to VWSDK_REF_BACKEND: the payload
+  // records it.
+  ExecutionOptions options;
+  options.ref_backend = "gemm";
+  const NetworkVerifyResult result = verify_network(
+      network, VwSdkMapper(), ArrayGeometry{64, 64}, 42, options);
+  EXPECT_TRUE(result.all_verified());
+  ASSERT_EQ(result.layers.size(), 3u);
+  EXPECT_EQ(result.layers[0].layer.groups, 8);
+  EXPECT_EQ(result.layers[1].layer.groups, 4);
+  EXPECT_EQ(fnv1a(to_json(result)), 0x67d5280db5f46587ULL)
+      << to_json(result);
 }
 
 }  // namespace

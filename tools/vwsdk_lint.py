@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Ten rules, each enforcing a contract the
+tools/check_doc_comments.py.  Eleven rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -54,6 +54,12 @@ codebase documents elsewhere:
                    mapping is a cut of the same window matrix, so a new
                    mapping sets the cut's strides in that builder
                    instead of writing a second tile loop.
+  verify-driver    execute_plan, reference_convolution and
+                   build_plan_for_cost are called in src/ only by the
+                   verification driver (sim/verifier.cpp) -- every layer,
+                   dense or grouped, runs map -> build -> execute ->
+                   reference -> compare through run_layer, so stage hooks
+                   have one seam.  Declarations and definitions are exempt.
 
 ``--self-test`` first runs every rule against embedded known-bad
 snippets and fails if any rule has gone blind; then the real tree is
@@ -586,6 +592,39 @@ def rule_plan_layout(tree: dict[str, str]) -> list[Failure]:
     return failures
 
 
+VERIFY_DRIVER_HOME = "src/sim/verifier.cpp"
+# A mention of a driver stage, with the word before it when that word
+# directly precedes it: a return type there marks a declaration or a
+# definition, anything else (`=`, `(`, `return`) a call.
+VERIFY_DRIVER_RE = re.compile(
+    r"(?:\b(\w+)[\s&*]+)?(?:\w+::)*"
+    r"\b(execute_plan|reference_convolution|build_plan_for_cost)\s*\(")
+NOT_A_TYPE = {"return", "else"}
+
+
+def rule_verify_driver(tree: dict[str, str]) -> list[Failure]:
+    """The verification sequence is written once: outside the driver no
+    src/ file may call execute_plan, reference_convolution or
+    build_plan_for_cost -- run layers through run_layer
+    (sim/verifier.h) instead."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path == VERIFY_DRIVER_HOME:
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for match in VERIFY_DRIVER_RE.finditer(code):
+            before = match.group(1)
+            if before is not None and before not in NOT_A_TYPE:
+                continue
+            failures.append(
+                f"{path}:{line_of(code, match.start(2))}: "
+                f"{match.group(2)} called outside the verification driver "
+                "-- run the layer through run_layer (sim/verifier.h)")
+    return failures
+
+
 # --------------------------------------------------------------------------
 # Self-tests: one known-bad snippet per rule; a rule that stays silent
 # on its bad snippet has gone blind and the lint run fails.
@@ -727,6 +766,15 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/mapping/plan_validate.cpp":
             "const ColBinding probe = ColBinding {0, oc, 0, 0, 0};",
     }),
+    ("verify-driver", rule_verify_driver, {
+        "src/sim/pipeline.cpp": (
+            "ExecutionResult executed =\n"
+            "    execute_plan(plan, ifm, weights, options);\n"),
+    }),
+    ("verify-driver", rule_verify_driver, {
+        "src/serve/service.cpp":
+            "return vwsdk::reference_convolution(plan, ifm, weights);",
+    }),
     ("nolint-discipline", rule_nolint_discipline, {
         # specific check but no justification
         "src/core/bad.cpp":
@@ -796,6 +844,20 @@ CLEAN_TREES = [
             "// RowBinding{...} is built by the plan builder\n"
             "for (const RowBinding& rb : tile.rows) {}\n"),
     }),
+    (rule_verify_driver, {
+        "src/sim/verifier.cpp": (
+            "executed = execute_plan(plan, ifm, weights, options);\n"
+            "return build_plan_for_cost(shape, geometry, cost);\n"),
+        # declarations, definitions, a comment, and a mere mention
+        "src/sim/executor.h": (
+            "ExecutionResult execute_plan(const MappingPlan& plan,\n"
+            "                             const Tensord& ifm);\n"),
+        "src/mapping/plan_builder.cpp":
+            "MappingPlan build_plan_for_cost(const ConvShape& shape) {}",
+        "src/sim/ok.cpp": (
+            "// execute_plan(plan, ifm, weights) runs in the driver\n"
+            "const char* stage = \"reference_convolution\";\n"),
+    }),
 ]
 
 
@@ -830,6 +892,7 @@ RULES = [
     ("nolint-discipline", rule_nolint_discipline),
     ("window-scan", rule_window_scan),
     ("plan-layout", rule_plan_layout),
+    ("verify-driver", rule_verify_driver),
 ]
 
 
