@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <set>
@@ -167,6 +168,29 @@ void parallel_chunks(ThreadPool& pool, Count n,
   if (first_error) {
     std::rethrow_exception(first_error);
   }
+}
+
+void parallel_slots(ThreadPool& pool, Count slots, Count n,
+                    const std::function<void(Count, Count)>& fn) {
+  if (slots <= 1) {
+    for (Count item = 0; item < n; ++item) {
+      fn(0, item);
+    }
+    return;
+  }
+  std::atomic<Count> next{0};
+  parallel_chunks(pool, slots, [&](Count begin, Count end) {
+    for (Count slot = begin; slot < end; ++slot) {
+      for (Count item = next++; item < n; item = next++) {
+        fn(slot, item);
+      }
+    }
+  });
+}
+
+ThreadPool& shared_pool() {
+  static ThreadPool pool;
+  return pool;
 }
 
 }  // namespace vwsdk

@@ -15,6 +15,13 @@
 ///  * `parallel_chunks()` is the bulk primitive the mapping code uses:
 ///    split an index range into contiguous chunks, run them on the pool,
 ///    and block until all complete (rethrowing the first task exception).
+///    `parallel_slots()` is its variant for work that needs scratch: a
+///    fixed number of slots claim items one at a time, so per-slot
+///    buffers are allocated once by the caller and never shared.
+///  * `shared_pool()` is the one process-wide pool of the compute
+///    kernels: the registry's "gemm" reference backend and the crossbar
+///    executor both fan out over it.  Neither runs inside one of its
+///    tasks, so concurrent requests share it without re-entering it.
 ///
 /// Thread count resolution (`default_thread_count`): the `VWSDK_THREADS`
 /// environment variable when set to a positive integer, otherwise
@@ -89,5 +96,18 @@ class ThreadPool {
 /// Must not be called from inside a task running on the same pool.
 void parallel_chunks(ThreadPool& pool, Count n,
                      const std::function<void(Count begin, Count end)>& fn);
+
+/// Run `fn(slot, item)` for every item in [0, n) on `slots` tasks of the
+/// pool; each task owns one slot in [0, slots) and claims items one at a
+/// time, so scratch indexed by slot is touched by one thread at a time.
+/// `slots <= 1` runs every item inline on slot 0.  Blocks until every
+/// item finishes; the first task exception (in slot order) is rethrown.
+/// Must not be called from inside a task running on the same pool.
+void parallel_slots(ThreadPool& pool, Count slots, Count n,
+                    const std::function<void(Count slot, Count item)>& fn);
+
+/// The process-wide compute pool, started on first use with
+/// default_thread_count() workers.
+ThreadPool& shared_pool();
 
 }  // namespace vwsdk

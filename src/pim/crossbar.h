@@ -19,9 +19,21 @@
 /// through ConverterModel (quantization) and NoiseModel (device
 /// variation).
 ///
+/// **Compact tiles.**  A mapping tile binds the array's rows and columns
+/// from index 0 upwards (mapping/plan_builder.h), so everything it uses
+/// lies in the top-left `bound_rows x bound_cols` block.  The crossbar
+/// stores and computes that block only: cells outside it are unbound,
+/// read as 0 and cannot be programmed, and a cycle drives `bound_rows`
+/// inputs and reads `bound_cols` columns.  Dropping the unbound terms is
+/// bitwise exact: unbound rows drive 0 into cells that hold 0, and a sum
+/// that starts at +0.0 never becomes -0.0, so adding those +0.0 terms
+/// never changed a bound column's read-out.
+///
 /// The crossbar refuses to program a cell twice -- the physical analogue
 /// of a mapping bug -- and counts its programmed cells.
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -34,40 +46,50 @@ namespace vwsdk {
 /// One functional crossbar array.
 class Crossbar {
  public:
-  /// A crossbar of the given geometry with all cells erased (zero, not
-  /// programmed).
-  explicit Crossbar(ArrayGeometry geometry);
+  /// A crossbar of `geometry` whose tile binds the top-left
+  /// `bound_rows x bound_cols` block, all cells erased (zero, not
+  /// programmed); throws InvalidArgument unless the block is non-empty
+  /// and inside the array.
+  Crossbar(ArrayGeometry geometry, Dim bound_rows, Dim bound_cols);
 
   const ArrayGeometry& geometry() const { return geometry_; }
+  Dim bound_rows() const { return bound_rows_; }
+  Dim bound_cols() const { return bound_cols_; }
 
   /// Program one cell with a weight value.  Programming the same cell
-  /// twice throws InvalidArgument: mapping plans must never collide (each
-  /// plan owns each cell for exactly one purpose).  Optional noise is
-  /// applied at programming time, as on real hardware.
+  /// twice, or a cell outside the bound block, throws InvalidArgument:
+  /// mapping plans must never collide (each plan owns each cell for
+  /// exactly one purpose).  Optional noise is applied at programming
+  /// time, as on real hardware.
   void program(Dim row, Dim col, double value, NoiseModel* noise = nullptr);
 
-  /// The stored value of a cell (zero if never programmed).
+  /// The stored value of a cell (zero if never programmed or unbound).
   double cell(Dim row, Dim col) const;
 
-  /// A batch of computing cycles: `input` holds one row vector (length =
-  /// rows; entries for idle rows are 0) per cycle, so its length must be
-  /// a positive multiple of rows.  Returns `batch x cols` column values,
-  /// row-major, each read-out passed through the ADC model.  Terms
-  /// accumulate in ascending row order, so cycle i of a batch is bitwise
-  /// identical to computing it alone.
-  std::vector<double> compute(const std::vector<double>& input,
-                              const ConverterModel& adc = {}) const;
+  /// A batch of computing cycles on the bound block: `input` holds one
+  /// vector of `bound_rows` drives per cycle (entries for idle rows are
+  /// 0), so its length must be a positive multiple of bound_rows, and
+  /// `output` receives `batch x bound_cols` column values, row-major,
+  /// each read-out passed through the ADC model.  Terms accumulate in
+  /// ascending row order, so cycle i of a batch is bitwise identical to
+  /// computing it alone.
+  void compute(std::span<const double> input, std::span<double> output,
+               const ConverterModel& adc = {}) const;
 
   /// Number of programmed cells (utilization numerator, weight-cell
   /// convention of Eq. (9)).
   Count programmed_cell_count() const { return programmed_count_; }
 
  private:
-  std::size_t index(Dim row, Dim col) const;
+  /// Index of (row, col) in the bound block, or -1 for an unbound cell;
+  /// throws for a cell outside the array.
+  Count index(Dim row, Dim col) const;
 
   ArrayGeometry geometry_;
-  std::vector<double> cells_;
-  std::vector<char> programmed_;  // char, not bool: no proxy bit-fiddling
+  Dim bound_rows_;
+  Dim bound_cols_;
+  std::vector<double> cells_;  // bound_rows x bound_cols, row-major
+  std::vector<std::uint64_t> programmed_;  // one bit per bound cell
   Count programmed_count_ = 0;
 };
 

@@ -3,20 +3,31 @@
 /// @file executor.h
 /// Functional execution of a MappingPlan on crossbar arrays.
 ///
-/// The executor programs one Crossbar per (AR, AC) tile, then walks the
-/// schedule in one loop for every plan kind.  A cycle is one base of the
-/// parallel-window grid (an SMD cycle: one chunk of D windows), and every
-/// cycle of a tile drives the same programmed array, so the loop takes
-/// blocks of cycles and runs each tile's block as one batched MVM: it
-/// gathers the input-feature-map values the tile's row bindings name,
-/// computes the block on the crossbar (ADC model applied per read-out),
-/// accumulates partial sums across AR tiles in ascending order, and
-/// scatters the column read-outs into the output feature map in
-/// schedule order.  Clamped parallel windows overlap and recompute some
-/// outputs: without device noise the recomputation must reproduce the
-/// committed value exactly (InternalError otherwise); with noise the
-/// overlapping windows read different noisy copies of the kernel and the
-/// last computed value stands.
+/// The executor programs one Crossbar per (AR, AC) tile, on the compact
+/// block of rows and columns the tile binds (pim/crossbar.h), then walks
+/// the schedule in one loop for every plan kind.  A cycle is one base of
+/// the parallel-window grid (an SMD cycle: one chunk of D windows), and
+/// every cycle of a tile drives the same programmed array, so a block of
+/// cycles on one AC band is one work item: per AR tile it gathers the
+/// input-feature-map values the row bindings name, computes the block
+/// as one batched MVM on the bound block (ADC model applied per
+/// read-out), and accumulates the AR partial sums in ascending AR.
+/// Execution thus costs each tile's bound rows x bound columns per
+/// cycle, not the whole array.
+///
+/// Work items are independent, so waves of them fan out over a thread
+/// pool -- by default `shared_pool()`, the pool the gemm reference
+/// backend runs on -- with per-slot scratch allocated once per call.
+/// Each wave commits its column read-outs into the output feature map on
+/// the calling thread in schedule order (cycle-major, AC-minor), so the
+/// result, activity and programmed cells are bitwise identical at any
+/// pool size.  Clamped parallel windows overlap and recompute some
+/// outputs: where every window sums an output's terms in the same
+/// grouping (channel tiles, im2col, SMD) a noiseless recomputation must
+/// reproduce the committed value exactly (InternalError otherwise);
+/// element-split SDK tiles cut each window's taps at a different
+/// element, and noisy tiles hold different copies of the kernel, so
+/// there the last computed value stands.
 ///
 /// This is the strongest form of evidence a mapping can get in software:
 /// if the plan (placement, schedule, tiling) is wrong in any way, the
@@ -24,6 +35,7 @@
 
 #include <string>
 
+#include "common/thread_pool.h"
 #include "mapping/mapping_plan.h"
 #include "pim/adc.h"
 #include "pim/energy_model.h"
@@ -54,11 +66,14 @@ struct ExecutionResult {
   Count programmed_cells = 0; ///< total cells programmed across tiles
 };
 
-/// Execute `plan` on the given input and weights.
+/// Execute `plan` on the given input and weights.  The work items fan
+/// out over `pool`, by default the process-wide shared_pool() (tests pin
+/// other sizes); never call this from a task running on `pool`.
 /// @param ifm     (1, IC, I_h, I_w), matching plan.shape.
 /// @param weights (OC, IC, K_h, K_w), matching plan.shape.
 ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
                              const Tensord& weights,
-                             const ExecutionOptions& options = {});
+                             const ExecutionOptions& options = {},
+                             ThreadPool& pool = shared_pool());
 
 }  // namespace vwsdk

@@ -16,11 +16,42 @@ namespace {
 // worker by parallel_chunks plays the `mc` role.
 constexpr Count kKc = 256;
 constexpr Count kNc = 128;
+// Output rows the micro-kernel computes per pass over a B block.
+constexpr int kMr = 4;
 
 // Below this many MACs the pool dispatch overhead dominates the
 // arithmetic; run single-threaded in the calling thread instead (the
 // result is bitwise identical either way, see gemm_backend.h).
 constexpr Count kParallelCutoffMacs = Count{1} << 15;
+
+/// The micro-kernel: C[m + r, n0 : n0 + nb] += A[m + r, k] * B[k, n0 : ...]
+/// for the R rows r < R and k ascending in [k0, k_end).  Each B element
+/// loaded serves R multiply-adds, and every output element still takes
+/// its terms one at a time in ascending k.
+template <int R>
+void accumulate_rows(const double* a, const double* b, double* c, Count m,
+                     Count k0, Count k_end, Count n0, Count nb,
+                     Count k_total, Count n_total) {
+  const double* a_rows[R];
+  double* c_rows[R];
+  for (int r = 0; r < R; ++r) {
+    a_rows[r] = a + (m + r) * k_total;
+    c_rows[r] = c + (m + r) * n_total + n0;
+  }
+  for (Count k = k0; k < k_end; ++k) {
+    double weights[R];
+    for (int r = 0; r < R; ++r) {
+      weights[r] = a_rows[r][k];
+    }
+    const double* b_row = b + k * n_total + n0;
+    for (Count n = 0; n < nb; ++n) {
+      const double value = b_row[n];
+      for (int r = 0; r < R; ++r) {
+        c_rows[r][n] += weights[r] * value;
+      }
+    }
+  }
+}
 
 /// Lower input rows [row_begin, row_end) of the im2col matrix into
 /// `columns` (kernel_volume x windows, row-major).  Row r corresponds
@@ -67,23 +98,22 @@ void gemm_accumulate(const double* a, const double* b, double* c,
     const Count nb = std::min(kNc, n_total - n0);
     for (Count k0 = 0; k0 < k_total; k0 += kKc) {
       const Count k_end = std::min(k0 + kKc, k_total);
-      for (Count m = m_begin; m < m_end; ++m) {
-        const double* a_row = a + m * k_total;
-        double* c_row = c + m * n_total + n0;
-        for (Count k = k0; k < k_end; ++k) {
-          const double weight = a_row[k];
-          const double* b_row = b + k * n_total + n0;
-          for (Count n = 0; n < nb; ++n) {
-            c_row[n] += weight * b_row[n];
-          }
-        }
+      Count m = m_begin;
+      for (; m + kMr <= m_end; m += kMr) {
+        accumulate_rows<kMr>(a, b, c, m, k0, k_end, n0, nb, k_total,
+                             n_total);
+      }
+      for (; m < m_end; ++m) {
+        accumulate_rows<1>(a, b, c, m, k0, k_end, n0, nb, k_total, n_total);
       }
     }
   }
 }
 
+GemmBackend::GemmBackend(ThreadPool& pool) : pool_(&pool) {}
+
 GemmBackend::GemmBackend(int threads)
-    : pool_(std::make_unique<ThreadPool>(threads)) {}
+    : owned_(std::make_unique<ThreadPool>(threads)), pool_(owned_.get()) {}
 
 int GemmBackend::threads() const { return pool_->size(); }
 
@@ -142,7 +172,7 @@ void register_gemm_backend(BackendRegistry& registry) {
       "bitwise identical to scalar on integer tensors, the fast default";
   info.sort_key = 20;
   info.instance = []() -> const RefBackend& {
-    static const GemmBackend backend;
+    static const GemmBackend backend(shared_pool());
     return backend;
   };
   registry.add(std::move(info));

@@ -139,6 +139,56 @@ TEST(ThreadPool, ParallelChunksRethrowsTaskException) {
       std::runtime_error);
 }
 
+TEST(ThreadPool, ParallelSlotsRunEveryItemOnceOneAtATimePerSlot) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> seen(500);
+  std::vector<std::atomic<int>> busy(4);
+  std::atomic<bool> overlapped{false};
+  parallel_slots(pool, 4, 500, [&](Count slot, Count item) {
+    ASSERT_GE(slot, 0);
+    ASSERT_LT(slot, 4);
+    std::atomic<int>& flag = busy[static_cast<std::size_t>(slot)];
+    if (flag.fetch_add(1) != 0) {
+      overlapped = true;  // two items on one slot's scratch at once
+    }
+    ++seen[static_cast<std::size_t>(item)];
+    flag.fetch_sub(1);
+  });
+  EXPECT_FALSE(overlapped.load());
+  for (const auto& cell : seen) {
+    EXPECT_EQ(cell.load(), 1);
+  }
+}
+
+TEST(ThreadPool, ParallelSlotsSingleSlotRunsInlineInOrder) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<Count> order;
+  parallel_slots(pool, 1, 5, [&](Count slot, Count item) {
+    EXPECT_EQ(slot, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(item);
+  });
+  EXPECT_EQ(order, (std::vector<Count>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, ParallelSlotsRethrowsItemException) {
+  ThreadPool pool(3);
+  EXPECT_THROW(parallel_slots(pool, 3, 50,
+                              [](Count, Count item) {
+                                if (item == 17) {
+                                  throw std::runtime_error("item failed");
+                                }
+                              }),
+               std::runtime_error);
+}
+
+TEST(ThreadPool, SharedPoolIsOneProcessWidePool) {
+  ThreadPool& pool = shared_pool();
+  EXPECT_EQ(&pool, &shared_pool());
+  EXPECT_GE(pool.size(), 1);
+}
+
 TEST(ThreadPool, ResolveThreadCountClampsAndPassesThrough) {
   EXPECT_EQ(ThreadPool::resolve_thread_count(4), 4);
   EXPECT_EQ(ThreadPool::resolve_thread_count(1), 1);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "core/mapping_decision.h"
 #include "mapping/plan_builder.h"
 #include "sim/latency_model.h"
@@ -250,6 +251,89 @@ TEST(Executor, NoisyQuantizedOutputIsPinned) {
     const ExecutionResult result =
         execute_plan(c.plan, ifm, weights, options);
     EXPECT_EQ(fnv1a(result.ofm), c.digest) << c.plan.shape.to_string();
+  }
+}
+
+TEST(Executor, ElementSplitOverlapsKeepTheLastWriterWithoutNoise) {
+  // SDK's 6x6 window on an 8x8 layer splits each window's 324 rows at
+  // element granularity over AR = 6 tiles, and the two clamped bases per
+  // axis overlap.  Each window's taps fall into the AR tiles at different
+  // elements, so on real-valued tensors an overlapping recomputation may
+  // round differently: the last writer stands, as under noise, and the
+  // output still matches the reference to rounding.
+  const ConvShape shape = ConvShape::square(8, 3, 9, 40);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, sdk_cost(shape, kSmall, {6, 6}));
+  ASSERT_EQ(plan.kind, PlanKind::kWindowedSplit);
+  Rng rng(5);
+  Tensord ifm =
+      Tensord::feature_map(shape.in_channels, shape.ifm_h, shape.ifm_w);
+  Tensord weights = Tensord::weights(shape.out_channels, shape.in_channels,
+                                     shape.kernel_h, shape.kernel_w);
+  fill_random_real(ifm, rng, -1.0, 1.0);
+  fill_random_real(weights, rng, -1.0, 1.0);
+  ExecutionResult result;
+  ASSERT_NO_THROW(result = execute_plan(plan, ifm, weights));
+  EXPECT_LT(max_abs_diff(result.ofm, conv2d_direct(ifm, weights)), 1e-12);
+}
+
+bool same_activity(const EnergyReport& a, const EnergyReport& b) {
+  return a.cycles == b.cycles && a.row_activations == b.row_activations &&
+         a.col_reads == b.col_reads && a.cell_macs == b.cell_macs;
+}
+
+TEST(Executor, IdenticalAtAnyPoolSize) {
+  // One plan of each kind, each sized past the executor's inline cutoff
+  // so the pool runs it; the im2col plan spans several waves of blocks
+  // and the element-split plan fans out over 20 AC bands.
+  const ConvShape windowed = ConvShape::square(18, 3, 8, 12);
+  const ConvShape split = ConvShape::square(8, 3, 9, 40);
+  const ConvShape dense = ConvShape::square(28, 3, 8, 16);
+  const ConvShape smd = ConvShape::square(20, 3, 2, 4);
+  const std::vector<MappingPlan> plans = {
+      build_plan_for_cost(windowed, kSmall,
+                          vw_cost(windowed, kSmall, {4, 3})),
+      build_plan_for_cost(split, kSmall, sdk_cost(split, kSmall, {6, 6})),
+      build_plan_for_cost(dense, kSmall, im2col_cost(dense, kSmall)),
+      build_plan_for_cost(smd, kSmall, smd_cost(smd, kSmall)),
+  };
+  ASSERT_EQ(plans[0].kind, PlanKind::kWindowed);
+  ASSERT_EQ(plans[1].kind, PlanKind::kWindowedSplit);
+  ASSERT_EQ(plans[2].kind, PlanKind::kIm2colDense);
+  ASSERT_EQ(plans[3].kind, PlanKind::kSmd);
+  ASSERT_GT(plans[2].total_cycles(), 512);
+
+  std::vector<ExecutionOptions> conditions(3);
+  conditions[1].noise.multiplicative_sigma = 0.05;
+  conditions[1].noise_seed = 13;
+  conditions[2] = conditions[1];
+  conditions[2].adc = ConverterModel(6, -64.0, 64.0);
+
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  for (const MappingPlan& plan : plans) {
+    Rng rng(21);
+    Tensord ifm = Tensord::feature_map(plan.shape.in_channels,
+                                       plan.shape.ifm_h, plan.shape.ifm_w);
+    Tensord weights =
+        Tensord::weights(plan.shape.out_channels, plan.shape.in_channels,
+                         plan.shape.kernel_h, plan.shape.kernel_w);
+    fill_random_real(ifm, rng, -2.0, 2.0);
+    fill_random_real(weights, rng, -2.0, 2.0);
+    for (const ExecutionOptions& options : conditions) {
+      const ExecutionResult base =
+          execute_plan(plan, ifm, weights, options, one);
+      for (ThreadPool* pool : {&two, &four}) {
+        const ExecutionResult other =
+            execute_plan(plan, ifm, weights, options, *pool);
+        EXPECT_EQ(fnv1a(other.ofm), fnv1a(base.ofm))
+            << plan.shape.to_string() << " on " << pool->size()
+            << " workers";
+        EXPECT_TRUE(same_activity(other.activity, base.activity));
+        EXPECT_EQ(other.programmed_cells, base.programmed_cells);
+      }
+    }
   }
 }
 
