@@ -22,6 +22,14 @@
 /// structural zeros), and on VGG-13 conv1's im2col plan (27 of 512 rows,
 /// 64 of 512 columns bound) exactly the convolution's MACs instead of
 /// the whole array's.
+///
+/// The reference-scaling section runs the gemm reference on VGG-13
+/// conv2 (224x224, 3x3, 64 to 64: 50,176 windows) on one worker and on
+/// the shared pool, and checks the two OFMs bitwise.  Its times are
+/// reported, not gated: the floating-point throughput of a shared
+/// virtual machine's vCPUs varies from run to run, so a pool speedup
+/// bound would fail spuriously.  Each side runs once, which keeps the
+/// section affordable in the unoptimized and sanitizer builds.
 
 #include <algorithm>
 #include <chrono>
@@ -118,6 +126,44 @@ void crossbar_section(vwsdk::bench::JsonReporter& reporter,
                        ratio <= kMaxExecuteOverGemm);
 }
 
+/// The "Reference scaling" section: the gemm reference on VGG-13 conv2,
+/// one worker against shared_pool(), report-only (see file comment).
+void reference_scaling_section(vwsdk::bench::JsonReporter& reporter) {
+  using namespace vwsdk;
+  reporter.section("Reference scaling -- VGG-13 conv2, gemm reference");
+  const ConvShape shape = ConvShape::square(224, 3, 64, 64);
+  Rng rng(2024);
+  Tensord ifm =
+      Tensord::feature_map(shape.in_channels, shape.ifm_h, shape.ifm_w);
+  Tensord weights = Tensord::weights(shape.out_channels, shape.in_channels,
+                                     shape.kernel_h, shape.kernel_w);
+  fill_random_int(ifm, rng, 3);
+  fill_random_int(weights, rng, 3);
+  const GemmBackend one_worker(1);
+  const RefBackend& pooled = BackendRegistry::instance().get("gemm");
+  ConvWorkspace workspace;
+  Clock::time_point start = Clock::now();
+  const Tensord serial = one_worker.conv2d(ifm, weights, ConvConfig(),
+                                           &workspace);
+  const double serial_ms = ms_since(start);
+  start = Clock::now();
+  const Tensord parallel = pooled.conv2d(ifm, weights, ConvConfig(),
+                                         &workspace);
+  const double parallel_ms = ms_since(start);
+  reporter.expect_true(
+      "VGG-13 conv2: gemm OFM identical on 1 worker and on the shared pool",
+      exactly_equal(serial, parallel));
+  reporter.report_value("VGG-13 conv2: shared pool workers",
+                        shared_pool().size());
+  reporter.report_value("VGG-13 conv2: gemm reference wall ms, 1 worker",
+                        serial_ms);
+  reporter.report_value("VGG-13 conv2: gemm reference wall ms, shared pool",
+                        parallel_ms);
+  reporter.report_value(
+      "VGG-13 conv2: shared pool speedup over 1 worker (x)",
+      parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0);
+}
+
 }  // namespace
 
 int main() {
@@ -163,6 +209,8 @@ int main() {
       "gemm at least 5x faster than scalar on the largest verification "
       "case",
       speedup >= 5.0);
+
+  reference_scaling_section(reporter);
 
   crossbar_section(reporter, "ResNet-18 conv2",
                    ConvShape::square(56, 3, 64, 64), "vw-sdk", 2022);

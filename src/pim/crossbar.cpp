@@ -66,8 +66,8 @@ void Crossbar::compute(std::span<const double> input,
                 cat("output length ", output.size(), " is not ", batch,
                     " cycles x ", bound_cols_, " bound columns"));
   std::fill(output.begin(), output.end(), 0.0);
-  gemm_accumulate(input.data(), cells_.data(), output.data(), 0, batch,
-                  bound_rows_, bound_cols_);
+  gemm_accumulate(input.data(), cells_.data(), bound_cols_, output.data(),
+                  bound_cols_, 0, batch, bound_rows_, bound_cols_);
   if (adc.mode() != ConverterMode::kIdeal) {
     for (double& value : output) {
       value = adc.convert(value);

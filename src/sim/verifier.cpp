@@ -180,6 +180,11 @@ NetworkVerifyResult verify_network(const Network& network,
   ExecutionOptions resolved = options;
   resolved.ref_backend = result.backend;
 
+  // One reference scratch buffer spans every layer, as in run_pipeline:
+  // it holds one im2col panel of at most 128 windows per worker, so
+  // keeping it between layers costs little however many windows a
+  // layer has (19 MB on VGG-13 with 4 workers).
+  ConvWorkspace workspace;
   const std::vector<ConvLayerDesc>& layers = network.layers();
   result.layers.reserve(layers.size());
   for (std::size_t i = 0; i < layers.size(); ++i) {
@@ -188,7 +193,8 @@ NetworkVerifyResult verify_network(const Network& network,
     const auto [ifm, weights] =
         random_tensors(ConvShape::from_layer(group), seed + i, 4);
     LayerVerification lv =
-        run_layer(group, mapper, geometry, ifm, weights, resolved)
+        run_layer(group, mapper, geometry, ifm, weights, resolved,
+                  &workspace)
             .verification;
     lv.layer = layers[i];
     result.layers.push_back(std::move(lv));

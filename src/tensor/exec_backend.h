@@ -42,12 +42,13 @@
 namespace vwsdk {
 
 /// Reusable scratch memory for backend convolutions.  Passing the same
-/// workspace across calls (the pipeline does, across the groups and
-/// stages of a run) lets a backend keep its im2col buffer allocated
-/// instead of reallocating per convolution.  Backends that need no
-/// scratch simply ignore it.
+/// workspace across calls (the pipeline and verify_network do, across
+/// the groups, stages and layers of a run) lets a backend keep its
+/// scratch allocated instead of reallocating per convolution.  Backends
+/// that need no scratch simply ignore it.
 struct ConvWorkspace {
-  /// The lowered im2col matrix, kernel_volume x windows, row-major.
+  /// The gemm backend's im2col panels: one kernel_volume x stripe panel
+  /// per worker slot, row-major (tensor/gemm_backend.h).
   std::vector<double> columns;
 };
 

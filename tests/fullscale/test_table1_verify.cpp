@@ -6,6 +6,12 @@
 /// shrunk.  The suite takes seconds in a Release build, so it carries the
 /// `fullscale` label (its directory) and unoptimized or sanitized builds
 /// deselect it with `ctest -LE fullscale`.
+///
+/// The VGG-13 case also bounds the process's peak memory: the gemm
+/// reference lowers its input one window stripe at a time, so no
+/// full-size im2col matrix (231 MB for VGG-13 conv2) is ever built.
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -50,10 +56,19 @@ TEST(FullScale, Resnet18MatchesTableOne) {
                        {{"im2col", 20041}, {"sdk", 7240}, {"vw-sdk", 4294}});
 }
 
+/// Bound on the peak resident set of a process that verifies VGG-13's
+/// Table I runs.  It peaks at 80-85 MB; a reference that built the
+/// whole im2col matrix would take it to 296 MB.
+constexpr long kMaxPeakRssKb = 128 * 1024;
+
 TEST(FullScale, Vgg13MatchesTableOne) {
   verify_at_full_scale(
       vgg13_paper(),
       {{"im2col", 243736}, {"sdk", 114697}, {"vw-sdk", 77102}});
+  rusage usage{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  EXPECT_LE(usage.ru_maxrss, kMaxPeakRssKb)  // kilobytes on Linux
+      << "peak RSS " << usage.ru_maxrss / 1024 << " MB";
 }
 
 }  // namespace

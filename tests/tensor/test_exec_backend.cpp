@@ -1,6 +1,7 @@
 #include "tensor/exec_backend.h"
 
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -335,6 +336,78 @@ TEST(GemmBackend, DeterministicAcrossThreadCounts) {
                                                  nullptr)));
   // ...and identical to the oracle, threads notwithstanding.
   EXPECT_TRUE(exactly_equal(base, conv2d_direct(ifm, weights, config)));
+}
+
+// The streamed lowering at every pool size: each case is sized past the
+// inline cutoff, so pools of 2 and more fan (window stripe, OC block)
+// items out, and each must equal the oracle bit for bit.
+TEST(GemmBackend, BitwiseAcrossPoolSizesAndShapes) {
+  struct PoolCase {
+    const char* what;
+    ParityCase shape;
+  };
+  auto square = [](Dim image, Dim kernel, Dim ic, Dim oc, Dim stride,
+                   Dim pad) {
+    ParityCase c;
+    c.ih = image;
+    c.iw = image;
+    c.kh = kernel;
+    c.kw = kernel;
+    c.ic = ic;
+    c.oc = oc;
+    c.config.stride_h = stride;
+    c.config.stride_w = stride;
+    c.config.pad_h = pad;
+    c.config.pad_w = pad;
+    return c;
+  };
+  const std::vector<PoolCase> cases = {
+      // 729 windows: five full stripes and a ragged tail of 89.
+      {"ragged stripes", square(29, 3, 4, 8, 1, 0)},
+      // 49 windows, less than one stripe: only OC blocks split the work.
+      {"7x7 OFM", square(9, 3, 16, 32, 1, 0)},
+      // 17x17 windows, so stripes also start mid output row.
+      {"stride 2 pad 1", square(33, 3, 6, 12, 2, 1)},
+      {"1x1 kernel", square(20, 1, 32, 16, 1, 0)},
+      // 13 channels split into 4-channel blocks, the last of one.
+      {"ragged OC block", square(9, 3, 32, 13, 1, 0)},
+      {"ragged OC block, many stripes", square(26, 3, 8, 13, 1, 1)},
+  };
+  std::vector<std::unique_ptr<GemmBackend>> pools;
+  for (const int threads : {1, 2, 3, 4, 16}) {
+    pools.push_back(std::make_unique<GemmBackend>(threads));
+  }
+  std::uint64_t seed = 7000;
+  for (const PoolCase& pc : cases) {
+    for (const auto& pool : pools) {
+      SCOPED_TRACE(cat(pc.what, " on ", pool->threads(), " threads"));
+      ConvWorkspace workspace;
+      expect_parity(pc.shape, *pool, &workspace, seed);
+    }
+    ++seed;
+  }
+}
+
+// The scratch memory is one kernel_volume x stripe panel per worker
+// slot: a 16x larger OFM (12100 windows against 676) leaves it unchanged.
+TEST(GemmBackend, WorkspaceIsBoundedByStripesNotWindows) {
+  const GemmBackend backend(4);
+  const Dim ic = 16, oc = 16, kernel = 3;
+  const Count rows = Count{ic} * kernel * kernel;
+  std::vector<std::size_t> sizes;
+  for (const Dim image : {28, 112}) {
+    Rng rng(8000 + static_cast<std::uint64_t>(image));
+    Tensord ifm = Tensord::feature_map(ic, image, image);
+    Tensord weights = Tensord::weights(oc, ic, kernel, kernel);
+    fill_random_int(ifm, rng, 3);
+    fill_random_int(weights, rng, 3);
+    ConvWorkspace workspace;
+    backend.conv2d(ifm, weights, ConvConfig{}, &workspace);
+    sizes.push_back(workspace.columns.size());
+  }
+  EXPECT_EQ(sizes[0], sizes[1]);
+  EXPECT_LE(static_cast<Count>(sizes[1]),
+            backend.threads() * rows * GemmBackend::kStripe);
 }
 
 // VWSDK_THREADS feeds the same constructor path the tests above pin
