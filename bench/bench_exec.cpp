@@ -42,7 +42,6 @@
 #include "core/mapping_decision.h"
 #include "mapping/plan_builder.h"
 #include "sim/executor.h"
-#include "tensor/exec_backend.h"
 #include "tensor/gemm_backend.h"
 #include "tensor/tensor_ops.h"
 
@@ -98,11 +97,11 @@ void crossbar_section(vwsdk::bench::JsonReporter& reporter,
   const ArrayGeometry geometry{512, 512};
   const MappingPlan plan = build_plan_for_cost(
       shape, geometry, make_mapper(mapper)->map(shape, geometry).cost);
-  const RefBackend& gemm = BackendRegistry::instance().get("gemm");
   ConvWorkspace workspace;
   Tensord reference;
   const double gemm_ms = best_of_three_ms([&] {
-    reference = gemm.conv2d(ifm, weights, ConvConfig(), &workspace);
+    reference = conv2d_gemm(ifm, weights, ConvConfig(), &workspace,
+                            shared_pool());
   });
   ExecutionResult executed;
   const double execute_ms =
@@ -139,16 +138,15 @@ void reference_scaling_section(vwsdk::bench::JsonReporter& reporter) {
                                      shape.kernel_h, shape.kernel_w);
   fill_random_int(ifm, rng, 3);
   fill_random_int(weights, rng, 3);
-  const GemmBackend one_worker(1);
-  const RefBackend& pooled = BackendRegistry::instance().get("gemm");
+  ThreadPool one_worker(1);
   ConvWorkspace workspace;
   Clock::time_point start = Clock::now();
-  const Tensord serial = one_worker.conv2d(ifm, weights, ConvConfig(),
-                                           &workspace);
+  const Tensord serial = conv2d_gemm(ifm, weights, ConvConfig(), &workspace,
+                                     one_worker);
   const double serial_ms = ms_since(start);
   start = Clock::now();
-  const Tensord parallel = pooled.conv2d(ifm, weights, ConvConfig(),
-                                         &workspace);
+  const Tensord parallel = conv2d_gemm(ifm, weights, ConvConfig(),
+                                       &workspace, shared_pool());
   const double parallel_ms = ms_since(start);
   reporter.expect_true(
       "VGG-13 conv2: gemm OFM identical on 1 worker and on the shared pool",
@@ -178,27 +176,24 @@ int main() {
   fill_random_int(weights, rng, 3);
   const ConvConfig config;  // stride 1, pad 0 (the paper's convention)
 
-  const BackendRegistry& registry = BackendRegistry::instance();
-  const RefBackend& scalar = registry.get("scalar");
-  const RefBackend& gemm = registry.get("gemm");
-
   const Clock::time_point scalar_start = Clock::now();
-  const Tensord oracle = scalar.conv2d(ifm, weights, config, nullptr);
+  const Tensord oracle = conv2d_direct(ifm, weights, config);
   const double scalar_ms = ms_since(scalar_start);
 
   ConvWorkspace workspace;
   Tensord fast;
   const double gemm_ms = best_of_three_ms(
-      [&] { fast = gemm.conv2d(ifm, weights, config, &workspace); });
+      [&] { fast = conv2d_gemm(ifm, weights, config, &workspace,
+                               shared_pool()); });
   reporter.expect_true("gemm OFM bitwise-identical to the scalar oracle",
                        exactly_equal(oracle, fast));
 
-  const GemmBackend gemm_1(1);
-  const GemmBackend gemm_16(16);
+  ThreadPool pool_1(1);
+  ThreadPool pool_16(16);
   reporter.expect_true(
       "gemm OFM identical across 1 and 16 worker threads",
-      exactly_equal(gemm_1.conv2d(ifm, weights, config, nullptr),
-                    gemm_16.conv2d(ifm, weights, config, nullptr)));
+      exactly_equal(conv2d_gemm(ifm, weights, config, nullptr, pool_1),
+                    conv2d_gemm(ifm, weights, config, nullptr, pool_16)));
 
   reporter.section("Wall-clock speedup");
   reporter.report_value("scalar reference wall ms", scalar_ms);

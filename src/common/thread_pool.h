@@ -19,7 +19,7 @@
 ///    fixed number of slots claim items one at a time, so per-slot
 ///    buffers are allocated once by the caller and never shared.
 ///  * `shared_pool()` is the one process-wide pool of the compute
-///    kernels: the registry's "gemm" reference backend and the crossbar
+///    kernels: the "gemm" reference (conv2d_gemm) and the crossbar
 ///    executor both fan out over it.  Neither runs inside one of its
 ///    tasks, so concurrent requests share it without re-entering it.
 ///

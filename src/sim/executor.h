@@ -51,10 +51,10 @@ struct ExecutionOptions {
   std::uint64_t noise_seed = 1;     ///< seed for the noise model
   bool validate_plan = true;        ///< run plan_validate first
 
-  /// Reference backend verification compares the execution against: a
-  /// BackendRegistry name or alias; empty resolves through the
-  /// `VWSDK_REF_BACKEND` environment variable, then "gemm" (see
-  /// tensor/exec_backend.h).  The "scalar" oracle is always available.
+  /// Reference backend verification compares the execution against:
+  /// "scalar" or "gemm", or an alias ("direct", "im2col-gemm"); empty
+  /// resolves through the `VWSDK_REF_BACKEND` environment variable, then
+  /// "gemm" (see resolve_ref_backend, tensor/exec_backend.h).
   std::string ref_backend;
 };
 

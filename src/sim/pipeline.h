@@ -51,8 +51,8 @@ struct PipelineResult {
 /// deterministically from `weight_seed` + i (integer-valued, grouped
 /// layout (OC, IC/G, K_h, K_w)).  Each stage's conv descriptor must match
 /// the incoming tensor's shape (validated).  Every stage runs through
-/// run_layer -- verified against the reference backend
-/// `options.ref_backend` selects (see tensor/exec_backend.h) -- before its
+/// run_layer -- verified against the reference convolution
+/// `options.ref_backend` names (see reference_convolution) -- before its
 /// post-ops are applied; grouped stages (groups > 1, depthwise included)
 /// run group by group on their channel slices there.  One backend
 /// workspace is reused across all groups and stages.

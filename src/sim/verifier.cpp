@@ -5,6 +5,7 @@
 
 #include "common/string_util.h"
 #include "mapping/plan_builder.h"
+#include "tensor/gemm_backend.h"
 #include "tensor/tensor_ops.h"
 
 namespace vwsdk {
@@ -18,9 +19,10 @@ Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
   config.stride_h = plan.shape.stride_h;
   config.pad_w = plan.shape.pad_w;
   config.pad_h = plan.shape.pad_h;
-  const RefBackend& backend =
-      BackendRegistry::instance().get(resolve_ref_backend(options.ref_backend));
-  return backend.conv2d(ifm, weights, config, workspace);
+  if (resolve_ref_backend(options.ref_backend) == "scalar") {
+    return conv2d_direct(ifm, weights, config);
+  }
+  return conv2d_gemm(ifm, weights, config, workspace);
 }
 
 namespace {

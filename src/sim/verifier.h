@@ -3,8 +3,9 @@
 /// @file verifier.h
 /// End-to-end verification of a mapping: execute the plan on the
 /// crossbar simulator and compare with a reference convolution computed
-/// by the execution backend ExecutionOptions::ref_backend selects
-/// (tensor/exec_backend.h; default "gemm", with "scalar" as the oracle).
+/// by the backend ExecutionOptions::ref_backend names: conv2d_gemm
+/// (tensor/gemm_backend.h), the default, or the scalar oracle
+/// conv2d_direct (tensor/exec_backend.h lists the names).
 ///
 /// run_layer is the one verification driver: map, build, then per group
 /// execute, reference and compare.  verify_network (the CLI, serve and
@@ -36,10 +37,11 @@ struct VerificationReport {
   std::string summary;         ///< one-line human-readable result
 };
 
-/// The reference OFM for `plan` on (ifm, weights), computed by the
-/// backend `options.ref_backend` resolves to with the plan's
-/// stride/padding.  `workspace` is optional backend scratch, reusable
-/// across calls (run_layer shares its caller's across groups).
+/// The reference OFM for `plan` on (ifm, weights) with the plan's
+/// stride/padding: conv2d_direct when `options.ref_backend` resolves to
+/// "scalar", else conv2d_gemm on shared_pool().  `workspace` is optional
+/// conv2d_gemm scratch, reusable across calls (run_layer shares its
+/// caller's across groups).
 Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
                               const Tensord& weights,
                               const ExecutionOptions& options = {},

@@ -1,7 +1,6 @@
 #include "tensor/gemm_backend.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -18,7 +17,7 @@ namespace {
 // one kNc-wide window stripe at a time, so a stripe of the im2col
 // matrix is exactly one B block column.
 constexpr Count kKc = 256;
-constexpr Count kNc = GemmBackend::kStripe;
+constexpr Count kNc = kStripe;
 // Output rows the micro-kernel computes per pass over a B block.
 constexpr int kMr = 4;
 
@@ -123,16 +122,9 @@ void gemm_accumulate(const double* a, const double* b, Count ldb, double* c,
   }
 }
 
-GemmBackend::GemmBackend(ThreadPool& pool) : pool_(&pool) {}
-
-GemmBackend::GemmBackend(int threads)
-    : owned_(std::make_unique<ThreadPool>(threads)), pool_(owned_.get()) {}
-
-int GemmBackend::threads() const { return pool_->size(); }
-
-Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
-                            const ConvConfig& config,
-                            ConvWorkspace* workspace) const {
+Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
+                    const ConvConfig& config, ConvWorkspace* workspace,
+                    ThreadPool& pool) {
   const Shape4& in = ifm.shape();
   const Shape4& w = weights.shape();
   VWSDK_REQUIRE(in.d0 == 1, "gemm backend expects batch 1");
@@ -153,7 +145,7 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
   const Count stripes = ceil_div(windows, kNc);
   const Count width = std::min(kNc, windows);
   const Count macs = static_cast<Count>(oc) * rows * windows;
-  const Count pool_slots = macs < kParallelCutoffMacs ? 1 : pool_->size();
+  const Count pool_slots = macs < kParallelCutoffMacs ? 1 : pool.size();
   const Count wanted_blocks =
       pool_slots == 1 ? 1
                       : std::min(ceil_div(kItemsPerSlot * pool_slots, stripes),
@@ -179,7 +171,7 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
   // The stripe each slot's panel holds: a slot that claims another OC
   // block of the same stripe multiplies the panel it already lowered.
   std::vector<Count> lowered(static_cast<std::size_t>(slots), -1);
-  parallel_slots(*pool_, slots, items, [&](Count slot, Count item) {
+  parallel_slots(pool, slots, items, [&](Count slot, Count item) {
     const Count stripe = item / oc_blocks;
     const Count w0 = stripe * width;
     const Count nb = std::min(width, windows - w0);
@@ -195,24 +187,5 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
   });
   return ofm;
 }
-
-namespace detail {
-
-void register_gemm_backend(BackendRegistry& registry) {
-  RefBackendInfo info;
-  info.name = "gemm";
-  info.aliases = {"im2col-gemm"};
-  info.description =
-      "blocked im2col + tiled GEMM fanned out across the thread pool -- "
-      "bitwise identical to scalar on integer tensors, the fast default";
-  info.sort_key = 20;
-  info.instance = []() -> const RefBackend& {
-    static const GemmBackend backend(shared_pool());
-    return backend;
-  };
-  registry.add(std::move(info));
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

@@ -20,11 +20,10 @@
 /// tile's batch of computing cycles through it as well, on the compact
 /// block of cells the tile binds.
 ///
-/// Thread pool: the registry's shared "gemm" instance fans out over
-/// `shared_pool()` (common/thread_pool.h), the same pool the crossbar
-/// executor uses (sim/executor.h); an explicitly constructed instance
-/// owns a pool of its own size, which is how the determinism tests pin
-/// the thread count.
+/// Thread pool: conv2d_gemm fans out over the pool it is given, by
+/// default `shared_pool()` (common/thread_pool.h), the same pool the
+/// crossbar executor uses (sim/executor.h); the determinism tests pass
+/// pools of their own sizes.
 ///
 /// Determinism contract (what lets `gemm` replace the scalar oracle on
 /// the verification paths, and what keeps crossbar execution exact):
@@ -37,9 +36,8 @@
 /// Pinned by tests/tensor/test_exec_backend.cpp and
 /// tests/pim/test_crossbar.cpp, and gated by bench_exec.
 
-#include <memory>
-
 #include "common/thread_pool.h"
+#include "tensor/conv_ref.h"
 #include "tensor/exec_backend.h"
 
 namespace vwsdk {
@@ -54,33 +52,25 @@ void gemm_accumulate(const double* a, const double* b, Count ldb, double* c,
                      Count ldc, Count m_begin, Count m_end, Count k_total,
                      Count n_total);
 
-/// Blocked im2col + tiled GEMM convolution on a thread pool.
-class GemmBackend : public RefBackend {
- public:
-  /// Windows per stripe (all but the last), the im2col columns one work
-  /// item lowers and multiplies.  A convolution's workspace holds at
-  /// most threads() x kernel_volume x kStripe doubles.
-  static constexpr Count kStripe = 128;
+/// Windows per stripe (all but the last), the im2col columns one work
+/// item of conv2d_gemm lowers and multiplies.  A convolution's workspace
+/// holds at most pool.size() x kernel_volume x kStripe doubles.
+constexpr Count kStripe = 128;
 
-  /// Run on `pool`, which must outlive the backend (the registry's
-  /// instance runs on shared_pool()).
-  explicit GemmBackend(ThreadPool& pool);
-
-  /// Run on an owned pool of `threads` workers; `threads <= 0` resolves
-  /// through ThreadPool::resolve_thread_count (VWSDK_THREADS, then
-  /// hardware).
-  explicit GemmBackend(int threads = 0);
-
-  /// Worker threads of the pool.
-  int threads() const;
-
-  Tensord conv2d(const Tensord& ifm, const Tensord& weights,
-                 const ConvConfig& config,
-                 ConvWorkspace* workspace) const override;
-
- private:
-  std::unique_ptr<ThreadPool> owned_;  ///< null when the pool is borrowed
-  ThreadPool* pool_;
-};
+/// The convolution conv2d_direct computes (same shapes and validation),
+/// as blocked im2col + tiled GEMM fanned out over `pool`.
+///
+/// @param ifm       feature map, shape (1, IC, H, W).
+/// @param weights   kernel bank, shape (OC, IC, KH, KW).
+/// @param config    stride / padding.
+/// @param workspace optional scratch reused across calls; nullptr
+///                  allocates locally.
+/// @param pool      the workers; the verification paths use
+///                  shared_pool(), the determinism tests pin a size.
+/// @return          feature map, shape (1, OC, OH, OW).
+Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
+                    const ConvConfig& config = ConvConfig(),
+                    ConvWorkspace* workspace = nullptr,
+                    ThreadPool& pool = shared_pool());
 
 }  // namespace vwsdk

@@ -2,11 +2,13 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,29 @@
 
 namespace vwsdk {
 namespace {
+
+/// RAII: restore the prior value of an environment variable.
+class EnvGuard {
+ public:
+  explicit EnvGuard(std::string name) : name_(std::move(name)) {
+    if (const char* prev = std::getenv(name_.c_str())) {
+      had_value_ = true;
+      saved_ = prev;
+    }
+  }
+  ~EnvGuard() {
+    if (had_value_) {
+      setenv(name_.c_str(), saved_.c_str(), 1);
+    } else {
+      unsetenv(name_.c_str());
+    }
+  }
+
+ private:
+  std::string name_;
+  bool had_value_ = false;
+  std::string saved_;
+};
 
 MapQuery lenet_map() {
   MapQuery query;
@@ -103,6 +128,10 @@ TEST(Service, ChipPlansAndReportsInfeasibility) {
 }
 
 TEST(Service, VerifyReportsEveryLayer) {
+  // No backend requested: the default applies only while the
+  // environment names none.
+  EnvGuard guard("VWSDK_REF_BACKEND");
+  unsetenv("VWSDK_REF_BACKEND");
   ServiceApi api(1);
   VerifyQuery query;
   query.net = "lenet5";

@@ -41,62 +41,27 @@ class EnvGuard {
   std::string saved_;
 };
 
-TEST(BackendRegistry, BuiltinsAreRegistered) {
-  const BackendRegistry& registry = BackendRegistry::instance();
-  EXPECT_GE(registry.size(), 2);
-  // The oracle sorts first, the fast default second.
-  const std::vector<std::string> names = registry.names();
-  ASSERT_GE(names.size(), 2u);
-  EXPECT_EQ(names[0], "scalar");
-  EXPECT_EQ(names[1], "gemm");
-  EXPECT_TRUE(registry.contains("scalar"));
-  EXPECT_TRUE(registry.contains("gemm"));
+TEST(BackendResolution, BuiltinsAndAliasesResolve) {
+  // The oracle lists first, the fast default second.
+  EXPECT_EQ(ref_backend_names(), "scalar, gemm");
+  EXPECT_EQ(resolve_ref_backend("scalar"), "scalar");
+  EXPECT_EQ(resolve_ref_backend("gemm"), "gemm");
   // Aliases and case-insensitive lookup.
-  EXPECT_TRUE(registry.contains("direct"));
-  EXPECT_TRUE(registry.contains("im2col-gemm"));
-  EXPECT_TRUE(registry.contains("  GEMM "));
-  EXPECT_EQ(registry.info("DIRECT").name, "scalar");
+  EXPECT_EQ(resolve_ref_backend("direct"), "scalar");
+  EXPECT_EQ(resolve_ref_backend("im2col-gemm"), "gemm");
+  EXPECT_EQ(resolve_ref_backend("  GEMM "), "gemm");
+  EXPECT_EQ(resolve_ref_backend("DIRECT"), "scalar");
 }
 
-TEST(BackendRegistry, UnknownNameThrowsListingKnown) {
-  const BackendRegistry& registry = BackendRegistry::instance();
+TEST(BackendResolution, UnknownNameThrowsListingKnown) {
   try {
-    registry.get("no-such-backend");
+    resolve_ref_backend(" no-such-backend ");
     FAIL() << "expected NotFound";
   } catch (const NotFound& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("no-such-backend"), std::string::npos);
-    EXPECT_NE(message.find("scalar"), std::string::npos);
-    EXPECT_NE(message.find("gemm"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()),
+              "unknown execution backend 'no-such-backend'; known: "
+              "scalar, gemm");
   }
-}
-
-TEST(BackendRegistry, AddValidatesNamesAndDuplicates) {
-  BackendRegistry registry;
-  RefBackendInfo info;
-  info.name = "mine";
-  info.instance = []() -> const RefBackend& {
-    static const ScalarBackend backend;
-    return backend;
-  };
-  registry.add(info);
-  EXPECT_TRUE(registry.contains("MINE"));
-  // Duplicate canonical name (case-insensitive).
-  EXPECT_THROW(registry.add(info), InvalidArgument);
-  // Missing instance function.
-  RefBackendInfo broken;
-  broken.name = "broken";
-  EXPECT_THROW(registry.add(broken), InvalidArgument);
-  // An alias colliding with an existing name.
-  RefBackendInfo aliased = info;
-  aliased.name = "other";
-  aliased.aliases = {"Mine"};
-  EXPECT_THROW(registry.add(aliased), InvalidArgument);
-  // An alias repeated within one registration.
-  RefBackendInfo repeated = info;
-  repeated.name = "third";
-  repeated.aliases = {"x", "x"};
-  EXPECT_THROW(registry.add(repeated), InvalidArgument);
 }
 
 TEST(BackendResolution, ExplicitThenEnvThenDefault) {
@@ -132,7 +97,7 @@ struct ParityCase {
   }
 };
 
-void expect_parity(const ParityCase& c, const RefBackend& gemm,
+void expect_parity(const ParityCase& c, ThreadPool& pool,
                    ConvWorkspace* workspace, std::uint64_t seed) {
   Rng rng(seed);
   Tensord ifm = Tensord::feature_map(c.ic, c.ih, c.iw);
@@ -140,7 +105,7 @@ void expect_parity(const ParityCase& c, const RefBackend& gemm,
   fill_random_int(ifm, rng, 3);
   fill_random_int(weights, rng, 3);
   const Tensord oracle = conv2d_direct(ifm, weights, c.config);
-  const Tensord fast = gemm.conv2d(ifm, weights, c.config, workspace);
+  const Tensord fast = conv2d_gemm(ifm, weights, c.config, workspace, pool);
   EXPECT_TRUE(exactly_equal(oracle, fast)) << c.label();
 }
 
@@ -168,7 +133,6 @@ ParityCase capped_case(const ConvLayerDesc& layer) {
 // depthwise layers included, which is exactly the shape population the
 // verification paths run.
 TEST(BackendParity, EveryZooLayerShape) {
-  const RefBackend& gemm = BackendRegistry::instance().get("gemm");
   ConvWorkspace workspace;  // shared across cases, like the pipeline
   std::set<std::string> seen;
   std::uint64_t seed = 100;
@@ -179,7 +143,7 @@ TEST(BackendParity, EveryZooLayerShape) {
       if (!seen.insert(c.label()).second) {
         continue;  // networks share layer shapes; test each once
       }
-      expect_parity(c, gemm, &workspace, seed++);
+      expect_parity(c, shared_pool(), &workspace, seed++);
     }
   }
   EXPECT_GE(seen.size(), 10u);
@@ -188,7 +152,6 @@ TEST(BackendParity, EveryZooLayerShape) {
 // The stride/pad/kernel sandwich the zoo does not cover, workspace
 // shared across wildly different shapes to prove resize correctness.
 TEST(BackendParity, StridePadKernelSandwich) {
-  const RefBackend& gemm = BackendRegistry::instance().get("gemm");
   ConvWorkspace workspace;
   std::uint64_t seed = 500;
   for (const Dim kernel : {1, 3, 5}) {
@@ -205,7 +168,7 @@ TEST(BackendParity, StridePadKernelSandwich) {
         c.config.stride_w = stride;
         c.config.pad_h = pad;
         c.config.pad_w = pad;
-        expect_parity(c, gemm, &workspace, seed++);
+        expect_parity(c, shared_pool(), &workspace, seed++);
       }
     }
   }
@@ -221,10 +184,10 @@ TEST(BackendParity, StridePadKernelSandwich) {
   c.config.stride_w = 1;
   c.config.pad_h = 0;
   c.config.pad_w = 2;
-  expect_parity(c, gemm, &workspace, seed);
+  expect_parity(c, shared_pool(), &workspace, seed);
 }
 
-// The im2col+GEMM backend, under its alias, on a default-config layer.
+// The im2col+GEMM backend with its default config, scratch and pool.
 TEST(Im2colConv, MatchesDirectConvExactly) {
   Rng rng(77);
   Tensord ifm = Tensord::feature_map(3, 7, 6);
@@ -232,9 +195,7 @@ TEST(Im2colConv, MatchesDirectConvExactly) {
   fill_random_int(ifm, rng, 4);
   fill_random_int(w, rng, 4);
   const Tensord direct = conv2d_direct(ifm, w);
-  const Tensord lowered =
-      BackendRegistry::instance().get("im2col-gemm").conv2d(
-          ifm, w, ConvConfig{}, nullptr);
+  const Tensord lowered = conv2d_gemm(ifm, w);
   EXPECT_TRUE(exactly_equal(direct, lowered));
 }
 
@@ -244,8 +205,8 @@ struct Im2colCase {
 
 class Im2colEquivalence : public ::testing::TestWithParam<Im2colCase> {};
 
-// Every registered execution backend must agree bitwise with the direct
-// oracle on the same integer tensors -- the registry's core contract.
+// The gemm backend must agree bitwise with the direct oracle on the same
+// integer tensors -- the reference's core contract.
 TEST_P(Im2colEquivalence, AgreesWithDirect) {
   const Im2colCase& c = GetParam();
   Rng rng(1000 + static_cast<std::uint64_t>(c.ih * 31 + c.k));
@@ -259,12 +220,7 @@ TEST_P(Im2colEquivalence, AgreesWithDirect) {
   config.pad_w = c.pad;
   config.pad_h = c.pad;
   const Tensord direct = conv2d_direct(ifm, w, config);
-  const BackendRegistry& registry = BackendRegistry::instance();
-  for (const std::string& name : registry.names()) {
-    EXPECT_TRUE(exactly_equal(
-        direct, registry.get(name).conv2d(ifm, w, config, nullptr)))
-        << "backend " << name;
-  }
+  EXPECT_TRUE(exactly_equal(direct, conv2d_gemm(ifm, w, config)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -281,7 +237,6 @@ INSTANTIATE_TEST_SUITE_P(
 // channels, convolve through both backends (gemm reusing one workspace
 // across groups), scatter into the layer OFM, compare layer-level.
 TEST(BackendParity, GroupedAndDepthwiseSlices) {
-  const RefBackend& gemm = BackendRegistry::instance().get("gemm");
   ConvWorkspace workspace;
   std::uint64_t seed = 900;
   for (const Dim groups : {2, 4, 8}) {  // 8 groups of 1 ic = depthwise
@@ -302,7 +257,7 @@ TEST(BackendParity, GroupedAndDepthwiseSlices) {
       write_channels(via_scalar, conv2d_direct(group_ifm, group_weights),
                      g * group_oc);
       write_channels(via_gemm,
-                     gemm.conv2d(group_ifm, group_weights, ConvConfig{},
+                     conv2d_gemm(group_ifm, group_weights, ConvConfig{},
                                  &workspace),
                      g * group_oc);
     }
@@ -323,17 +278,17 @@ TEST(GemmBackend, DeterministicAcrossThreadCounts) {
   fill_random_int(weights, rng, 3);
   const ConvConfig config;
 
-  const GemmBackend one(1);
-  const GemmBackend four(4);
-  const GemmBackend sixteen(16);
-  EXPECT_EQ(one.threads(), 1);
-  EXPECT_EQ(four.threads(), 4);
-  EXPECT_EQ(sixteen.threads(), 16);
-  const Tensord base = one.conv2d(ifm, weights, config, nullptr);
-  EXPECT_TRUE(exactly_equal(base, four.conv2d(ifm, weights, config,
-                                              nullptr)));
-  EXPECT_TRUE(exactly_equal(base, sixteen.conv2d(ifm, weights, config,
-                                                 nullptr)));
+  ThreadPool one(1);
+  ThreadPool four(4);
+  ThreadPool sixteen(16);
+  EXPECT_EQ(one.size(), 1);
+  EXPECT_EQ(four.size(), 4);
+  EXPECT_EQ(sixteen.size(), 16);
+  const Tensord base = conv2d_gemm(ifm, weights, config, nullptr, one);
+  EXPECT_TRUE(exactly_equal(
+      base, conv2d_gemm(ifm, weights, config, nullptr, four)));
+  EXPECT_TRUE(exactly_equal(
+      base, conv2d_gemm(ifm, weights, config, nullptr, sixteen)));
   // ...and identical to the oracle, threads notwithstanding.
   EXPECT_TRUE(exactly_equal(base, conv2d_direct(ifm, weights, config)));
 }
@@ -373,14 +328,14 @@ TEST(GemmBackend, BitwiseAcrossPoolSizesAndShapes) {
       {"ragged OC block", square(9, 3, 32, 13, 1, 0)},
       {"ragged OC block, many stripes", square(26, 3, 8, 13, 1, 1)},
   };
-  std::vector<std::unique_ptr<GemmBackend>> pools;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
   for (const int threads : {1, 2, 3, 4, 16}) {
-    pools.push_back(std::make_unique<GemmBackend>(threads));
+    pools.push_back(std::make_unique<ThreadPool>(threads));
   }
   std::uint64_t seed = 7000;
   for (const PoolCase& pc : cases) {
     for (const auto& pool : pools) {
-      SCOPED_TRACE(cat(pc.what, " on ", pool->threads(), " threads"));
+      SCOPED_TRACE(cat(pc.what, " on ", pool->size(), " threads"));
       ConvWorkspace workspace;
       expect_parity(pc.shape, *pool, &workspace, seed);
     }
@@ -391,7 +346,7 @@ TEST(GemmBackend, BitwiseAcrossPoolSizesAndShapes) {
 // The scratch memory is one kernel_volume x stripe panel per worker
 // slot: a 16x larger OFM (12100 windows against 676) leaves it unchanged.
 TEST(GemmBackend, WorkspaceIsBoundedByStripesNotWindows) {
-  const GemmBackend backend(4);
+  ThreadPool pool(4);
   const Dim ic = 16, oc = 16, kernel = 3;
   const Count rows = Count{ic} * kernel * kernel;
   std::vector<std::size_t> sizes;
@@ -402,21 +357,12 @@ TEST(GemmBackend, WorkspaceIsBoundedByStripesNotWindows) {
     fill_random_int(ifm, rng, 3);
     fill_random_int(weights, rng, 3);
     ConvWorkspace workspace;
-    backend.conv2d(ifm, weights, ConvConfig{}, &workspace);
+    conv2d_gemm(ifm, weights, ConvConfig{}, &workspace, pool);
     sizes.push_back(workspace.columns.size());
   }
   EXPECT_EQ(sizes[0], sizes[1]);
   EXPECT_LE(static_cast<Count>(sizes[1]),
-            backend.threads() * rows * GemmBackend::kStripe);
-}
-
-// VWSDK_THREADS feeds the same constructor path the tests above pin
-// explicitly, so env-selected thread counts inherit the determinism.
-TEST(GemmBackend, DefaultThreadCountFollowsEnv) {
-  EnvGuard guard("VWSDK_THREADS");
-  ASSERT_EQ(setenv("VWSDK_THREADS", "4", 1), 0);
-  const GemmBackend backend;
-  EXPECT_EQ(backend.threads(), 4);
+            pool.size() * rows * kStripe);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Eleven rules, each enforcing a contract the
+tools/check_doc_comments.py.  Twelve rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -26,9 +26,9 @@ codebase documents elsewhere:
   error-codes      the wire names returned by error_code_name() in
                    src/common/error.cpp match the error-code table in
                    docs/SERVE.md exactly (both directions).
-  registry-hygiene every mapper/backend .cpp registers itself exactly
-                   once, and the linker-anchor bootstrap in the registry
-                   .cpp declares and calls each anchor exactly once --
+  registry-hygiene every mapper .cpp registers itself exactly once, and
+                   the linker-anchor bootstrap in the registry .cpp
+                   declares and calls each anchor exactly once --
                    a silently dropped registration is invisible at
                    compile time and only fails at a distant call site.
   doc-links        every docs/*.md page is linked from README.md or
@@ -60,6 +60,11 @@ codebase documents elsewhere:
                    dense or grouped, runs map -> build -> execute ->
                    reference -> compare through run_layer, so stage hooks
                    have one seam.  Declarations and definitions are exempt.
+  env-reads        getenv appears in src/ only in common/thread_pool.cpp
+                   (VWSDK_THREADS) and tensor/exec_backend.cpp
+                   (VWSDK_REF_BACKEND) -- every environment knob is a
+                   deliberate, documented one, not a read buried in a
+                   kernel.
 
 ``--self-test`` first runs every rule against embedded known-bad
 snippets and fails if any rule has gone blind; then the real tree is
@@ -340,13 +345,11 @@ REGISTRIES = [
     # (bootstrap file, registrar-fn pattern, files that must self-register)
     ("src/core/mapper_registry.cpp", r"register_\w+_mapper",
      r"src/core/\w+_mapper\.cpp"),
-    ("src/tensor/exec_backend.cpp", r"register_\w+_backend",
-     r"src/tensor/\w+_backend\.cpp"),
 ]
 
 
 def rule_registry_hygiene(tree: dict[str, str]) -> list[Failure]:
-    """Each mapper/backend translation unit calls registry.add exactly
+    """Each mapper translation unit calls registry.add exactly
     once inside exactly one register_* anchor, and the bootstrap
     declares + calls every anchor exactly once (the linker anchor is
     what keeps a static-library registration from being dropped)."""
@@ -626,6 +629,35 @@ def rule_verify_driver(tree: dict[str, str]) -> list[Failure]:
 
 
 # --------------------------------------------------------------------------
+# Rule: env-reads
+# --------------------------------------------------------------------------
+
+ENV_READS_ALLOWED = ("src/common/thread_pool.cpp",
+                     "src/tensor/exec_backend.cpp")
+ENV_READ_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+
+
+def rule_env_reads(tree: dict[str, str]) -> list[Failure]:
+    """Environment variables are read in src/ only where the documented
+    knobs live: VWSDK_THREADS (common/thread_pool.cpp) and
+    VWSDK_REF_BACKEND (tensor/exec_backend.cpp)."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path in ENV_READS_ALLOWED:
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for match in ENV_READ_RE.finditer(code):
+            failures.append(
+                f"{path}:{line_of(code, match.start())}: getenv outside "
+                "common/thread_pool.cpp and tensor/exec_backend.cpp -- "
+                "route a new environment knob through one of them "
+                "(env-reads rule)")
+    return failures
+
+
+# --------------------------------------------------------------------------
 # Self-tests: one known-bad snippet per rule; a rule that stays silent
 # on its bad snippet has gone blind and the lint run fails.
 # --------------------------------------------------------------------------
@@ -707,7 +739,6 @@ void register_good_mapper(MapperRegistry& registry) {
   registry.add(b);
 }
 """,
-        "src/tensor/exec_backend.cpp": "",
     }),
     ("registry-hygiene", rule_registry_hygiene, {
         "src/core/mapper_registry.cpp": """
@@ -721,7 +752,6 @@ void register_good_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/core/orphan_mapper.cpp": """
 void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
 """,
-        "src/tensor/exec_backend.cpp": "",
     }),
     ("doc-links", rule_doc_links, {
         "README.md": "see docs/CLI.md",
@@ -774,6 +804,10 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
     ("verify-driver", rule_verify_driver, {
         "src/serve/service.cpp":
             "return vwsdk::reference_convolution(plan, ifm, weights);",
+    }),
+    ("env-reads", rule_env_reads, {
+        "src/sim/executor.cpp":
+            'const char* mode = std::getenv("VWSDK_FAST");',
     }),
     ("nolint-discipline", rule_nolint_discipline, {
         # specific check but no justification
@@ -858,6 +892,13 @@ CLEAN_TREES = [
             "// execute_plan(plan, ifm, weights) runs in the driver\n"
             "const char* stage = \"reference_convolution\";\n"),
     }),
+    (rule_env_reads, {
+        "src/common/thread_pool.cpp":
+            'const char* env = std::getenv("VWSDK_THREADS");',
+        "src/tensor/exec_backend.cpp":
+            'const char* env = std::getenv("VWSDK_REF_BACKEND");',
+        "src/core/ok.cpp": "// std::getenv(...) lives in thread_pool.cpp\n",
+    }),
 ]
 
 
@@ -893,6 +934,7 @@ RULES = [
     ("window-scan", rule_window_scan),
     ("plan-layout", rule_plan_layout),
     ("verify-driver", rule_verify_driver),
+    ("env-reads", rule_env_reads),
 ]
 
 
