@@ -30,11 +30,18 @@
 /// virtual machine's vCPUs varies from run to run, so a pool speedup
 /// bound would fail spuriously.  Each side runs once, which keeps the
 /// section affordable in the unoptimized and sanitizer builds.
+///
+/// The MVM-kernel section reports which instantiation gemm_accumulate
+/// runs (AVX2 or the portable two-double vectors) and its single-thread
+/// throughput on two crossbar-sized tiles: a full 512x512 array and a
+/// ragged 507x126 block, 64 cycles each.  Report-only, like the scaling
+/// section; tests/tensor/test_exec_backend.cpp pins its results.
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/random.h"
@@ -162,6 +169,45 @@ void reference_scaling_section(vwsdk::bench::JsonReporter& reporter) {
       parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0);
 }
 
+/// The "MVM kernel" section: the selected instantiation, and GMAC/s of
+/// gemm_accumulate on the calling thread, report-only (see file comment).
+void mvm_kernel_section(vwsdk::bench::JsonReporter& reporter) {
+  using namespace vwsdk;
+  reporter.section("MVM kernel -- gemm_accumulate on one thread");
+  const bool avx2 = detail::avx2_gemm_kernel() != nullptr;
+  std::cout << "  selected path: " << (avx2 ? "avx2" : "portable") << "\n";
+  reporter.report_value("MVM kernel: doubles per vector (4 avx2, 2 portable)",
+                        avx2 ? 4 : 2);
+  struct Tile {
+    Count m, k, n;
+  };
+  constexpr int kRepeats = 5;
+  Rng rng(2025);
+  const auto random_doubles = [&rng](Count size) {
+    std::vector<double> values(static_cast<std::size_t>(size));
+    for (double& value : values) {
+      value = rng.uniform_double(-1.0, 1.0);
+    }
+    return values;
+  };
+  for (const Tile& t : {Tile{64, 512, 512}, Tile{64, 507, 126}}) {
+    const std::vector<double> a = random_doubles(t.m * t.k);
+    const std::vector<double> b = random_doubles(t.k * t.n);
+    std::vector<double> c = random_doubles(t.m * t.n);
+    const double ms = best_of_three_ms([&] {
+      for (int i = 0; i < kRepeats; ++i) {
+        gemm_accumulate(a.data(), b.data(), t.n, c.data(), t.n, 0, t.m, t.k,
+                        t.n);
+      }
+    });
+    const double macs = static_cast<double>(kRepeats * t.m * t.k * t.n);
+    reporter.report_value(
+        cat("MVM kernel: ", t.m, "x", t.k, "x", t.n,
+            " tile GMAC/s, 1 thread (best of 3)"),
+        ms > 0.0 ? macs / (ms * 1e6) : 0.0);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -205,6 +251,7 @@ int main() {
       "case",
       speedup >= 5.0);
 
+  mvm_kernel_section(reporter);
   reference_scaling_section(reporter);
 
   crossbar_section(reporter, "ResNet-18 conv2",

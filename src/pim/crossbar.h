@@ -14,8 +14,10 @@
 /// which is exactly one analog vector-matrix multiplication.  Every cycle
 /// on a programmed array drives the same cells, so a batch of cycles is
 /// one matrix product, computed by the shared MVM kernel
-/// (`gemm_accumulate`, tensor/gemm_backend.h).  The model is functional,
-/// not electrical: value types are doubles, non-idealities are injected
+/// (`gemm_accumulate`, tensor/gemm_backend.h: a register-tiled kernel,
+/// AVX2 where the CPU has it, whose every read-out is the scalar
+/// ascending-row sum bit for bit).  The model is functional, not
+/// electrical: value types are doubles, non-idealities are injected
 /// through ConverterModel (quantization) and NoiseModel (device
 /// variation).
 ///

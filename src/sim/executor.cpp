@@ -234,8 +234,10 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   // read-outs in ascending AR into its own accumulator.  Items are
   // independent, so a wave of them fans out over the pool, each slot
   // reusing its own gather and read-out scratch.  The wave then commits
-  // on this thread in schedule order (cycle-major, AC-minor): the last
-  // writer of an overlapping output is the cycle-by-cycle walk's.
+  // in schedule order (cycle-major, AC-minor) split by output channel:
+  // each slot commits the read-outs of its own block of channels, so no
+  // two slots write one output, and the last writer of an overlapping
+  // output is still the cycle-by-cycle walk's.
   const Dim dups = plan.cost.smd_duplicates;
   const bool fan_out =
       pool.size() > 1 && n_cycles * macs_per_cycle >= kParallelCutoffMacs;
@@ -257,6 +259,18 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
       static_cast<std::size_t>(wave_blocks * n_ac * kBlockCycles * acc_cols));
   std::vector<std::optional<WindowBase>> bases(
       static_cast<std::size_t>(wave_cycles * dups));
+  // The column bindings each commit slot owns, per AC band, in binding
+  // order.  Column bindings are identical across the AR tiles of one AC
+  // band; commit with the last tile's.
+  const Count oc_block = ceil_div(shape.out_channels, slots);
+  std::vector<std::vector<ColBinding>> commit_cols(
+      static_cast<std::size_t>(slots * n_ac));
+  for (Dim ac = 0; ac < n_ac; ++ac) {
+    for (const ColBinding& cb : plan.tile(n_ar - 1, ac).cols) {
+      commit_cols[static_cast<std::size_t>((cb.oc / oc_block) * n_ac + ac)]
+          .push_back(cb);
+    }
+  }
 
   const double* ifm_data = ifm.data().data();
   const auto run_item = [&](Count wave_cycle_count, Count slot, Count item) {
@@ -310,24 +324,25 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
                    [&](Count slot, Count item) {
                      run_item(cycles, slot, item);
                    });
-    for (Count i = 0; i < cycles; ++i) {
-      const std::optional<WindowBase>* base = bases.data() + i * dups;
-      for (Dim ac = 0; ac < n_ac; ++ac) {
-        // Column bindings are identical across the AR tiles of one AC
-        // band; commit with the last tile's bindings.
-        const double* read_out =
-            acc.data() +
-            (((i / kBlockCycles) * n_ac + ac) * kBlockCycles +
-             i % kBlockCycles) *
-                acc_cols;
-        for (const ColBinding& cb : plan.tile(n_ar - 1, ac).cols) {
-          if (const std::optional<WindowBase>& b = base[cb.dup]) {
-            sink.commit(cb.oc, b->wy + cb.win_py, b->wx + cb.win_px,
-                        read_out[cb.col]);
+    parallel_slots(pool, slots, slots, [&](Count, Count part) {
+      for (Count i = 0; i < cycles; ++i) {
+        const std::optional<WindowBase>* base = bases.data() + i * dups;
+        for (Dim ac = 0; ac < n_ac; ++ac) {
+          const double* read_out =
+              acc.data() +
+              (((i / kBlockCycles) * n_ac + ac) * kBlockCycles +
+               i % kBlockCycles) *
+                  acc_cols;
+          for (const ColBinding& cb :
+               commit_cols[static_cast<std::size_t>(part * n_ac + ac)]) {
+            if (const std::optional<WindowBase>& b = base[cb.dup]) {
+              sink.commit(cb.oc, b->wy + cb.win_py, b->wx + cb.win_px,
+                          read_out[cb.col]);
+            }
           }
         }
       }
-    }
+    });
   }
 
   // Every output element must have been produced.

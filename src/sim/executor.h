@@ -18,10 +18,12 @@
 /// Work items are independent, so waves of them fan out over a thread
 /// pool -- by default `shared_pool()`, the pool the gemm reference
 /// backend runs on -- with per-slot scratch allocated once per call.
-/// Each wave commits its column read-outs into the output feature map on
-/// the calling thread in schedule order (cycle-major, AC-minor), so the
-/// result, activity and programmed cells are bitwise identical at any
-/// pool size.  Clamped parallel windows overlap and recompute some
+/// Each wave then commits its column read-outs into the output feature
+/// map in schedule order (cycle-major, AC-minor), fanned out by output
+/// channel: a slot commits only its own block of channels, so no two
+/// slots write one output and every output's writes keep their order.
+/// The result, activity and programmed cells are therefore bitwise
+/// identical at any pool size.  Clamped parallel windows overlap and recompute some
 /// outputs: where every window sums an output's terms in the same
 /// grouping (channel tiles, im2col, SMD) a noiseless recomputation must
 /// reproduce the committed value exactly (InternalError otherwise);

@@ -1,7 +1,7 @@
 #include "tensor/gemm_backend.h"
 
 #include <algorithm>
-#include <vector>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -18,7 +18,9 @@ namespace {
 // matrix is exactly one B block column.
 constexpr Count kKc = 256;
 constexpr Count kNc = kStripe;
-// Output rows the micro-kernel computes per pass over a B block.
+// Output rows of the register tile.  With two four-double vectors per
+// row the tile holds 8 accumulators, which with the two B vectors and a
+// broadcast use 11 of the 16 AVX2 registers.
 constexpr int kMr = 4;
 
 // Below this many MACs the pool dispatch overhead dominates the
@@ -31,34 +33,124 @@ constexpr Count kParallelCutoffMacs = Count{1} << 15;
 // blocks, so a 7x7 OFM (one stripe) still keeps every worker busy.
 constexpr Count kItemsPerSlot = 4;
 
-/// The micro-kernel: C[m + r, n0 : n0 + nb] += A[m + r, k] * B[k, n0 : ...]
-/// for the R rows r < R and k ascending in [k0, k_end).  Each B element
-/// loaded serves R multiply-adds, and every output element still takes
-/// its terms one at a time in ascending k.
-template <int R>
-void accumulate_rows(const double* a, const double* b, Count ldb, double* c,
-                     Count ldc, Count m, Count k0, Count k_end, Count n0,
-                     Count nb, Count k_total) {
+// The vector types of the two instantiations: two doubles (SSE2 on
+// x86-64, NEON on aarch64) and four (AVX2).  The kernel moves them to
+// and from double arrays with memcpy, which compiles to unaligned
+// vector loads and stores.
+typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
+typedef double Vec4 __attribute__((vector_size(4 * sizeof(double))));
+
+/// The register tile: C[m + r, n : n + Nv * lanes] += A[m + r, k] *
+/// B[k, n : ...] for the R rows r < R and k ascending in [k0, k_end).
+/// The tile's R x Nv vectors of C stay in registers for the whole k
+/// range; per k the B vectors are loaded once and each A value is
+/// broadcast.  Each lane takes its terms one at a time in ascending k as
+/// `acc = acc + a * b`, a rounded multiply then a rounded add (never
+/// fused, see gemm_backend.h), so the result is the scalar loop's bit for
+/// bit.  V = double is the one-column tail.  Always inlined, so it
+/// compiles for the instruction set of the instantiation that calls it.
+template <typename V, int R, int Nv>
+[[gnu::always_inline]] inline void accumulate_tile(
+    const double* const (&a_rows)[R], double* const (&c_rows)[R],
+    const double* b_col, Count ldb, Count k0, Count k_end) {
+  constexpr Count kLanes = sizeof(V) / sizeof(double);
+  V acc[R][Nv];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < Nv; ++v) {
+      std::memcpy(&acc[r][v], c_rows[r] + v * kLanes, sizeof(V));
+    }
+  }
+  const double* b_row = b_col + k0 * ldb;
+  for (Count k = k0; k < k_end; ++k, b_row += ldb) {
+    V b_vec[Nv];
+    for (int v = 0; v < Nv; ++v) {
+      std::memcpy(&b_vec[v], b_row + v * kLanes, sizeof(V));
+    }
+    for (int r = 0; r < R; ++r) {
+      const double weight = a_rows[r][k];
+      for (int v = 0; v < Nv; ++v) {
+        acc[r][v] = acc[r][v] + weight * b_vec[v];
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < Nv; ++v) {
+      std::memcpy(c_rows[r] + v * kLanes, &acc[r][v], sizeof(V));
+    }
+  }
+}
+
+/// Rows [m, m + R) of one (k-block, column stripe) pass: full tiles of
+/// two V vectors, then at most one single-vector tile, then the last
+/// columns one at a time.
+template <typename V, int R>
+[[gnu::always_inline]] inline void accumulate_rows(
+    const double* a, const double* b, Count ldb, double* c, Count ldc,
+    Count m, Count k0, Count k_end, Count n0, Count nb, Count k_total) {
+  constexpr Count kLanes = sizeof(V) / sizeof(double);
   const double* a_rows[R];
   double* c_rows[R];
   for (int r = 0; r < R; ++r) {
     a_rows[r] = a + (m + r) * k_total;
     c_rows[r] = c + (m + r) * ldc + n0;
   }
-  for (Count k = k0; k < k_end; ++k) {
-    double weights[R];
+  Count n = 0;
+  const auto advance = [&](Count columns) {
     for (int r = 0; r < R; ++r) {
-      weights[r] = a_rows[r][k];
+      c_rows[r] += columns;
     }
-    const double* b_row = b + k * ldb + n0;
-    for (Count n = 0; n < nb; ++n) {
-      const double value = b_row[n];
-      for (int r = 0; r < R; ++r) {
-        c_rows[r][n] += weights[r] * value;
+    n += columns;
+  };
+  for (; n + 2 * kLanes <= nb; advance(2 * kLanes)) {
+    accumulate_tile<V, R, 2>(a_rows, c_rows, b + n0 + n, ldb, k0, k_end);
+  }
+  if (n + kLanes <= nb) {
+    accumulate_tile<V, R, 1>(a_rows, c_rows, b + n0 + n, ldb, k0, k_end);
+    advance(kLanes);
+  }
+  for (; n < nb; advance(1)) {
+    accumulate_tile<double, R, 1>(a_rows, c_rows, b + n0 + n, ldb, k0,
+                                  k_end);
+  }
+}
+
+/// gemm_accumulate on vectors of type V: column stripes of kNc, k-blocks
+/// of kKc, kMr rows per register tile and the last m % kMr rows one at
+/// a time.
+template <typename V>
+[[gnu::always_inline]] inline void gemm_blocked(
+    const double* a, const double* b, Count ldb, double* c, Count ldc,
+    Count m_begin, Count m_end, Count k_total, Count n_total) {
+  for (Count n0 = 0; n0 < n_total; n0 += kNc) {
+    const Count nb = std::min(kNc, n_total - n0);
+    for (Count k0 = 0; k0 < k_total; k0 += kKc) {
+      const Count k_end = std::min(k0 + kKc, k_total);
+      Count m = m_begin;
+      for (; m + kMr <= m_end; m += kMr) {
+        accumulate_rows<V, kMr>(a, b, ldb, c, ldc, m, k0, k_end, n0, nb,
+                                k_total);
+      }
+      for (; m < m_end; ++m) {
+        accumulate_rows<V, 1>(a, b, ldb, c, ldc, m, k0, k_end, n0, nb,
+                              k_total);
       }
     }
   }
 }
+
+void gemm_portable(const double* a, const double* b, Count ldb, double* c,
+                   Count ldc, Count m_begin, Count m_end, Count k_total,
+                   Count n_total) {
+  gemm_blocked<Vec2>(a, b, ldb, c, ldc, m_begin, m_end, k_total, n_total);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void gemm_avx2(
+    const double* a, const double* b, Count ldb, double* c, Count ldc,
+    Count m_begin, Count m_end, Count k_total, Count n_total) {
+  gemm_blocked<Vec4>(a, b, ldb, c, ldc, m_begin, m_end, k_total, n_total);
+}
+#endif
 
 /// Lower windows [w0, w0 + nb) of the im2col matrix into `panel`, a
 /// row-major rows x nb matrix.  Row r corresponds to kernel element
@@ -103,23 +195,31 @@ void lower_stripe(const Tensord& ifm, Dim kh, Dim kw, const ConvConfig& config,
 
 }  // namespace
 
+namespace detail {
+
+GemmKernel portable_gemm_kernel() { return gemm_portable; }
+
+GemmKernel avx2_gemm_kernel() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    return gemm_avx2;
+  }
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
 void gemm_accumulate(const double* a, const double* b, Count ldb, double* c,
                      Count ldc, Count m_begin, Count m_end, Count k_total,
                      Count n_total) {
-  for (Count n0 = 0; n0 < n_total; n0 += kNc) {
-    const Count nb = std::min(kNc, n_total - n0);
-    for (Count k0 = 0; k0 < k_total; k0 += kKc) {
-      const Count k_end = std::min(k0 + kKc, k_total);
-      Count m = m_begin;
-      for (; m + kMr <= m_end; m += kMr) {
-        accumulate_rows<kMr>(a, b, ldb, c, ldc, m, k0, k_end, n0, nb,
-                             k_total);
-      }
-      for (; m < m_end; ++m) {
-        accumulate_rows<1>(a, b, ldb, c, ldc, m, k0, k_end, n0, nb, k_total);
-      }
-    }
-  }
+  // Picked once: the CPU does not change under a running process.
+  static const detail::GemmKernel kernel = [] {
+    const detail::GemmKernel avx2 = detail::avx2_gemm_kernel();
+    return avx2 != nullptr ? avx2 : detail::portable_gemm_kernel();
+  }();
+  kernel(a, b, ldb, c, ldc, m_begin, m_end, k_total, n_total);
 }
 
 Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
@@ -139,9 +239,9 @@ Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
   const Count windows = static_cast<Count>(oh) * ow;
 
   // Work items are (window stripe, OC block) pairs, stripe-major.  Big
-  // OFMs have stripes enough for every slot, and each stripe is lowered
-  // once; smaller ones split OC into blocks (whole micro-kernel passes)
-  // until each slot has about kItemsPerSlot items.
+  // OFMs have stripes enough for every slot; smaller ones split OC into
+  // blocks (whole register-tile passes) until each slot has about
+  // kItemsPerSlot items.
   const Count stripes = ceil_div(windows, kNc);
   const Count width = std::min(kNc, windows);
   const Count macs = static_cast<Count>(oc) * rows * windows;
@@ -152,15 +252,17 @@ Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
                                  ceil_div(oc, kMr));
   const Count oc_block = kMr * ceil_div(oc, kMr * wanted_blocks);
   const Count oc_blocks = ceil_div(oc, oc_block);
-  const Count items = stripes * oc_blocks;
-  const Count slots = std::min(pool_slots, items);
+  const Count slots = std::min(pool_slots, stripes * oc_blocks);
 
-  // One rows x width panel per slot: the memory depends on the stripe
-  // width and the pool, not on the number of windows.
+  // Each stripe is lowered once, into one of `panels` rows x width
+  // panels: the memory depends on the stripe width and the pool, not on
+  // the number of windows.
+  const Count panels = std::min(slots, stripes);
   const Count panel_size = rows * width;
   ConvWorkspace local;
   ConvWorkspace& scratch = workspace != nullptr ? *workspace : local;
-  scratch.columns.resize(static_cast<std::size_t>(slots * panel_size));
+  scratch.columns.resize(static_cast<std::size_t>(panels * panel_size));
+  double* const columns = scratch.columns.data();
 
   Tensord ofm = Tensord::feature_map(oc, oh, ow);
   // The weight tensor's raw storage (OC, IC, KH, KW row-major) is
@@ -168,23 +270,42 @@ Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
   // order -- no packing needed.
   const double* a = weights.data().data();
   double* c = ofm.data().data();
-  // The stripe each slot's panel holds: a slot that claims another OC
-  // block of the same stripe multiplies the panel it already lowered.
-  std::vector<Count> lowered(static_cast<std::size_t>(slots), -1);
-  parallel_slots(pool, slots, items, [&](Count slot, Count item) {
-    const Count stripe = item / oc_blocks;
-    const Count w0 = stripe * width;
-    const Count nb = std::min(width, windows - w0);
-    const Count m_begin = (item % oc_blocks) * oc_block;
+  const auto stripe_width = [&](Count stripe) {
+    return std::min(width, windows - stripe * width);
+  };
+  const auto lower = [&](Count stripe, double* panel) {
+    lower_stripe(ifm, kh, kw, config, ow, rows, stripe * width,
+                 stripe_width(stripe), panel);
+  };
+  const auto multiply = [&](Count stripe, Count block, const double* panel) {
+    const Count nb = stripe_width(stripe);
+    const Count m_begin = block * oc_block;
     const Count m_end = std::min<Count>(m_begin + oc_block, oc);
-    double* panel = scratch.columns.data() + slot * panel_size;
-    Count& held = lowered[static_cast<std::size_t>(slot)];
-    if (held != stripe) {
-      lower_stripe(ifm, kh, kw, config, ow, rows, w0, nb, panel);
-      held = stripe;
+    gemm_accumulate(a, panel, nb, c + stripe * width, windows, m_begin,
+                    m_end, rows, nb);
+  };
+  if (oc_blocks == 1) {
+    // One item per stripe: it lowers the stripe into its slot's panel
+    // and multiplies it for every output channel.
+    parallel_slots(pool, slots, stripes, [&](Count slot, Count stripe) {
+      double* panel = columns + slot * panel_size;
+      lower(stripe, panel);
+      multiply(stripe, 0, panel);
+    });
+  } else {
+    // Few stripes: lower up to `panels` of them, one per panel, then let
+    // the OC blocks of each share its panel.
+    for (Count first = 0; first < stripes; first += panels) {
+      const Count round = std::min(panels, stripes - first);
+      parallel_slots(pool, round, round, [&](Count, Count i) {
+        lower(first + i, columns + i * panel_size);
+      });
+      parallel_slots(pool, slots, round * oc_blocks, [&](Count, Count item) {
+        const Count i = item / oc_blocks;
+        multiply(first + i, item % oc_blocks, columns + i * panel_size);
+      });
     }
-    gemm_accumulate(a, panel, nb, c + w0, windows, m_begin, m_end, rows, nb);
-  });
+  }
   return ofm;
 }
 

@@ -18,7 +18,11 @@
 /// The multiply-accumulate itself is `gemm_accumulate`, the one MVM
 /// kernel of the repo: the crossbar simulator (pim/crossbar.h) runs a
 /// tile's batch of computing cycles through it as well, on the compact
-/// block of cells the tile binds.
+/// block of cells the tile binds.  It is written once over a GCC/Clang
+/// vector type and instantiated twice: on four-double vectors compiled
+/// for AVX2, and on two-double vectors as the portable fallback.  The
+/// first call picks AVX2 when the CPU has it (x86-64 only) and the
+/// fallback otherwise; there is no switch.
 ///
 /// Thread pool: conv2d_gemm fans out over the pool it is given, by
 /// default `shared_pool()` (common/thread_pool.h), the same pool the
@@ -32,8 +36,14 @@
 /// element is computed wholly by one work item, and zero operands are not
 /// skipped -- so the result is bitwise identical for any thread count,
 /// and bitwise identical to conv2d_direct on integer-valued tensors
-/// (integer sums are exact in double regardless of association).
-/// Pinned by tests/tensor/test_exec_backend.cpp and
+/// (integer sums are exact in double regardless of association).  Each
+/// term is a rounded multiply followed by a rounded add, `c = c + a*b`,
+/// on either instantiation, so gemm_accumulate equals the naive scalar
+/// loop bit for bit on any doubles.  That needs `-ffp-contract=off`
+/// (set for GCC and Clang in CMakeLists.txt): GCC's C++ default, `fast`,
+/// would fuse the pair into one FMA wherever FMA is enabled (a target
+/// with "fma", or aarch64, where it is baseline) and round once instead
+/// of twice.  Pinned by tests/tensor/test_exec_backend.cpp and
 /// tests/pim/test_crossbar.cpp, and gated by bench_exec.
 
 #include "common/thread_pool.h"
@@ -45,12 +55,32 @@ namespace vwsdk {
 /// C[m, :] += A[m, :] * B for rows m in [m_begin, m_end) of row-major
 /// A (m x k_total), and the first n_total columns of B (k_total rows,
 /// `ldb` apart) and C (rows `ldc` apart).  Cache blocked over column
-/// stripes and k, four output rows per pass over a B block.  Per output
-/// element the terms accumulate in ascending k, the same order for any
-/// blocking or row range (see the determinism contract above).
+/// stripes and k; a register tile of four output rows by two vectors of
+/// columns stays in registers across each k-block.  Per output element
+/// the terms accumulate in ascending k, the same order for any blocking,
+/// row range or instantiation (see the determinism contract above).
 void gemm_accumulate(const double* a, const double* b, Count ldb, double* c,
                      Count ldc, Count m_begin, Count m_end, Count k_total,
                      Count n_total);
+
+namespace detail {
+
+/// One instantiation of the MVM kernel, with gemm_accumulate's signature
+/// and contract.  gemm_accumulate runs avx2_gemm_kernel() where it is
+/// not null and portable_gemm_kernel() otherwise; the tests reach both
+/// to pin them against the scalar loop.
+using GemmKernel = void (*)(const double* a, const double* b, Count ldb,
+                            double* c, Count ldc, Count m_begin,
+                            Count m_end, Count k_total, Count n_total);
+
+/// The two-double-vector instantiation; runs on every target.
+GemmKernel portable_gemm_kernel();
+
+/// The four-double-vector instantiation compiled for AVX2, or nullptr
+/// when the CPU lacks AVX2 or the build is not for x86-64.
+GemmKernel avx2_gemm_kernel();
+
+}  // namespace detail
 
 /// Windows per stripe (all but the last), the im2col columns one work
 /// item of conv2d_gemm lowers and multiplies.  A convolution's workspace

@@ -1,14 +1,17 @@
 #include "tensor/exec_backend.h"
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/math_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "nn/model_zoo.h"
@@ -203,6 +206,12 @@ struct Im2colCase {
   Dim ih, iw, k, ic, oc, stride, pad;
 };
 
+/// The case's test name and printed value: ifm7x9_k3_ic2_oc3_s1_p1.
+void PrintTo(const Im2colCase& c, std::ostream* os) {
+  *os << "ifm" << c.ih << "x" << c.iw << "_k" << c.k << "_ic" << c.ic
+      << "_oc" << c.oc << "_s" << c.stride << "_p" << c.pad;
+}
+
 class Im2colEquivalence : public ::testing::TestWithParam<Im2colCase> {};
 
 // The gemm backend must agree bitwise with the direct oracle on the same
@@ -231,7 +240,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Im2colCase{9, 9, 3, 2, 2, 2, 0},
                       Im2colCase{6, 6, 5, 3, 2, 1, 2},
                       Im2colCase{10, 7, 1, 3, 4, 1, 0},
-                      Im2colCase{12, 12, 7, 1, 2, 2, 3}));
+                      Im2colCase{12, 12, 7, 1, 2, 2, 3}),
+    [](const auto& info) { return ::testing::PrintToString(info.param); });
 
 // Grouped execution the way the pipeline runs it: slice each group's
 // channels, convolve through both backends (gemm reusing one workspace
@@ -343,26 +353,111 @@ TEST(GemmBackend, BitwiseAcrossPoolSizesAndShapes) {
   }
 }
 
+/// The naive product gemm_accumulate must equal: per output element,
+/// its stored value plus one term at a time in ascending k, each a
+/// rounded multiply then a rounded add.
+void scalar_gemm(const std::vector<double>& a, const std::vector<double>& b,
+                 Count ldb, std::vector<double>& c, Count ldc, Count m_begin,
+                 Count m_end, Count k_total, Count n_total) {
+  for (Count m = m_begin; m < m_end; ++m) {
+    for (Count n = 0; n < n_total; ++n) {
+      double sum = c[static_cast<std::size_t>(m * ldc + n)];
+      for (Count k = 0; k < k_total; ++k) {
+        sum = sum + a[static_cast<std::size_t>(m * k_total + k)] *
+                        b[static_cast<std::size_t>(k * ldb + n)];
+      }
+      c[static_cast<std::size_t>(m * ldc + n)] = sum;
+    }
+  }
+}
+
+// Both instantiations of the MVM kernel against the scalar loop, by
+// memcmp, on non-integer doubles (where a different association, an
+// FMA contraction or a reordered tail changes the rounding) and nonzero
+// initial C.  The shapes are ragged: row tails of the 4-row tile, every
+// column tail of the 2-vector tile, k crossing the 256-row k-block, and
+// B and C rows wider than the columns multiplied.
+TEST(GemmKernel, BitwiseEqualToTheScalarLoop) {
+  std::vector<std::pair<const char*, detail::GemmKernel>> kernels = {
+      {"portable", detail::portable_gemm_kernel()}};
+  if (detail::GemmKernel avx2 = detail::avx2_gemm_kernel()) {
+    kernels.emplace_back("avx2", avx2);
+  }
+  Rng rng(9100);
+  const auto random_doubles = [&rng](Count size) {
+    std::vector<double> values(static_cast<std::size_t>(size));
+    for (double& value : values) {
+      value = rng.uniform_double(-2.0, 2.0);
+    }
+    return values;
+  };
+  for (const Count rows : {1, 3, 4, 5, 64}) {
+    for (const Count cols : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 131}) {
+      for (const Count depth : {1, 7, 255, 256, 257, 600}) {
+        const Count ldb = cols + 3;
+        const Count ldc = cols + 5;
+        const std::vector<double> a = random_doubles(rows * depth);
+        const std::vector<double> b = random_doubles(depth * ldb);
+        const std::vector<double> c0 = random_doubles(rows * ldc);
+        // All rows, and a range that starts inside the first tile.
+        for (const Count m_begin : {Count{0}, std::min<Count>(2, rows - 1)}) {
+          std::vector<double> expected = c0;
+          scalar_gemm(a, b, ldb, expected, ldc, m_begin, rows, depth, cols);
+          for (const auto& [name, kernel] : kernels) {
+            std::vector<double> c = c0;
+            kernel(a.data(), b.data(), ldb, c.data(), ldc, m_begin, rows,
+                   depth, cols);
+            EXPECT_EQ(std::memcmp(c.data(), expected.data(),
+                                  c.size() * sizeof(double)),
+                      0)
+                << name << " kernel, rows " << m_begin << ".." << rows
+                << ", " << depth << " deep, " << cols << " columns";
+          }
+        }
+      }
+    }
+  }
+  // gemm_accumulate runs one of the two.
+  std::vector<double> a = random_doubles(5 * 300);
+  std::vector<double> b = random_doubles(300 * 11);
+  std::vector<double> expected = random_doubles(5 * 11);
+  std::vector<double> c = expected;
+  scalar_gemm(a, b, 11, expected, 11, 0, 5, 300, 11);
+  gemm_accumulate(a.data(), b.data(), 11, c.data(), 11, 0, 5, 300, 11);
+  EXPECT_EQ(std::memcmp(c.data(), expected.data(), c.size() * sizeof(double)),
+            0);
+}
+
 // The scratch memory is one kernel_volume x stripe panel per worker
-// slot: a 16x larger OFM (12100 windows against 676) leaves it unchanged.
+// slot, and no more panels than stripes: each stripe is lowered once,
+// and the OC blocks of a layer with fewer stripes than workers share its
+// panel.  A 16x larger OFM (12100 windows against 676) leaves it
+// unchanged; a one-stripe 7x7 OFM and a two-stripe 12x12 one hold one
+// and two panels.
 TEST(GemmBackend, WorkspaceIsBoundedByStripesNotWindows) {
   ThreadPool pool(4);
   const Dim ic = 16, oc = 16, kernel = 3;
   const Count rows = Count{ic} * kernel * kernel;
   std::vector<std::size_t> sizes;
-  for (const Dim image : {28, 112}) {
+  for (const Dim image : {28, 112, 9, 14}) {
+    SCOPED_TRACE(cat(image, "x", image, " IFM"));
     Rng rng(8000 + static_cast<std::uint64_t>(image));
     Tensord ifm = Tensord::feature_map(ic, image, image);
     Tensord weights = Tensord::weights(oc, ic, kernel, kernel);
     fill_random_int(ifm, rng, 3);
     fill_random_int(weights, rng, 3);
     ConvWorkspace workspace;
-    conv2d_gemm(ifm, weights, ConvConfig{}, &workspace, pool);
+    EXPECT_TRUE(exactly_equal(
+        conv2d_direct(ifm, weights),
+        conv2d_gemm(ifm, weights, ConvConfig{}, &workspace, pool)));
+    const Count windows = Count{image - kernel + 1} * (image - kernel + 1);
+    const Count stripes = ceil_div(windows, kStripe);
     sizes.push_back(workspace.columns.size());
+    EXPECT_LE(static_cast<Count>(sizes.back()),
+              std::min<Count>(pool.size(), stripes) * rows *
+                  std::min(kStripe, windows));
   }
   EXPECT_EQ(sizes[0], sizes[1]);
-  EXPECT_LE(static_cast<Count>(sizes[1]),
-            pool.size() * rows * kStripe);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Twelve rules, each enforcing a contract the
+tools/check_doc_comments.py.  Thirteen rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -65,6 +65,12 @@ codebase documents elsewhere:
                    (VWSDK_REF_BACKEND) -- every environment knob is a
                    deliberate, documented one, not a read buried in a
                    kernel.
+  isa-dispatch     `__attribute__((target(...)))`, `__builtin_cpu_supports`
+                   and `<immintrin.h>` appear in src/ only in
+                   tensor/gemm_backend.cpp -- the one MVM kernel is the
+                   one place that picks an instruction set at runtime,
+                   so a vectorized loop elsewhere goes through
+                   gemm_accumulate instead of a second dispatch.
 
 ``--self-test`` first runs every rule against embedded known-bad
 snippets and fails if any rule has gone blind; then the real tree is
@@ -658,6 +664,36 @@ def rule_env_reads(tree: dict[str, str]) -> list[Failure]:
 
 
 # --------------------------------------------------------------------------
+# Rule: isa-dispatch
+# --------------------------------------------------------------------------
+
+ISA_DISPATCH_HOME = "src/tensor/gemm_backend.cpp"
+ISA_DISPATCH_RE = re.compile(
+    r"__attribute__\s*\(\(\s*target\b|\[\[\s*gnu::target\b"
+    r"|\b__builtin_cpu_supports\b|<immintrin\.h>")
+
+
+def rule_isa_dispatch(tree: dict[str, str]) -> list[Failure]:
+    """Instruction-set dispatch lives in the MVM kernel only: target
+    attributes, __builtin_cpu_supports and <immintrin.h> appear in src/
+    only in tensor/gemm_backend.cpp."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path == ISA_DISPATCH_HOME:
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for match in ISA_DISPATCH_RE.finditer(code):
+            failures.append(
+                f"{path}:{line_of(code, match.start())}: "
+                f"`{match.group(0)}` outside tensor/gemm_backend.cpp -- "
+                "run the loop through gemm_accumulate, the one runtime-"
+                "dispatched kernel (isa-dispatch rule)")
+    return failures
+
+
+# --------------------------------------------------------------------------
 # Self-tests: one known-bad snippet per rule; a rule that stays silent
 # on its bad snippet has gone blind and the lint run fails.
 # --------------------------------------------------------------------------
@@ -809,6 +845,15 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/sim/executor.cpp":
             'const char* mode = std::getenv("VWSDK_FAST");',
     }),
+    ("isa-dispatch", rule_isa_dispatch, {
+        "src/sim/executor.cpp": (
+            '__attribute__((target("avx2"))) void commit_fast();\n'),
+    }),
+    ("isa-dispatch", rule_isa_dispatch, {
+        "src/pim/crossbar.cpp": (
+            "#include <immintrin.h>\n"
+            'bool wide = __builtin_cpu_supports("avx512f");\n'),
+    }),
     ("nolint-discipline", rule_nolint_discipline, {
         # specific check but no justification
         "src/core/bad.cpp":
@@ -899,6 +944,17 @@ CLEAN_TREES = [
             'const char* env = std::getenv("VWSDK_REF_BACKEND");',
         "src/core/ok.cpp": "// std::getenv(...) lives in thread_pool.cpp\n",
     }),
+    (rule_isa_dispatch, {
+        ISA_DISPATCH_HOME: (
+            "#include <immintrin.h>\n"
+            '__attribute__((target("avx2"))) void gemm_avx2();\n'
+            'bool avx2 = __builtin_cpu_supports("avx2");\n'),
+        # a comment, and other attributes
+        "src/pim/ok.cpp": (
+            "// __builtin_cpu_supports(...) lives in gemm_backend.cpp\n"
+            "[[gnu::always_inline]] inline void f();\n"
+            "__attribute__((vector_size(32))) double v;\n"),
+    }),
 ]
 
 
@@ -935,6 +991,7 @@ RULES = [
     ("plan-layout", rule_plan_layout),
     ("verify-driver", rule_verify_driver),
     ("env-reads", rule_env_reads),
+    ("isa-dispatch", rule_isa_dispatch),
 ]
 
 
