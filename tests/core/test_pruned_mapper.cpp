@@ -14,7 +14,8 @@ struct PrunedCase {
   Dim image, kernel, ic, oc, rows, cols;
 };
 
-/// The case's test name and printed value: ifm7_k3_ic512_oc512_a512x512.
+/// Prints the case as, e.g., ifm7_k3_ic512_oc512_a512x512; ctest's discovered
+/// test names end in it in place of the case index.
 void PrintTo(const PrunedCase& c, std::ostream* os) {
   *os << "ifm" << c.image << "_k" << c.kernel << "_ic" << c.ic << "_oc"
       << c.oc << "_a" << c.rows << "x" << c.cols;
@@ -48,8 +49,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PrunedCase{13, 5, 12, 24, 128, 256},
                       PrunedCase{64, 3, 1, 1, 32, 32},
                       PrunedCase{9, 3, 2, 2048, 512, 512},
-                      PrunedCase{16, 3, 1024, 16, 256, 128}),
-    [](const auto& info) { return ::testing::PrintToString(info.param); });
+                      PrunedCase{16, 3, 1024, 16, 256, 128}));
 
 TEST(PrunedMapper, ActuallyPrunes) {
   // On VGG-13 conv1 (224x224, tiny channels) the full scan is ~49k

@@ -236,12 +236,6 @@ struct PropertyCase {
   Dim image, kernel, ic, oc, rows, cols;
 };
 
-/// The case's test name and printed value: ifm7_k3_ic512_oc512_a512x512.
-void PrintTo(const PropertyCase& c, std::ostream* os) {
-  *os << "ifm" << c.image << "_k" << c.kernel << "_ic" << c.ic << "_oc"
-      << c.oc << "_a" << c.rows << "x" << c.cols;
-}
-
 class CostProperties : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(CostProperties, VwAtKernelWindowNeverBeatsIm2col) {
@@ -295,8 +289,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{112, 7, 3, 64, 512, 256},
                       PropertyCase{13, 5, 12, 24, 128, 256},
                       PropertyCase{10, 1, 8, 8, 64, 64},
-                      PropertyCase{9, 3, 2, 2048, 512, 512}),
-    [](const auto& info) { return ::testing::PrintToString(info.param); });
+                      PropertyCase{9, 3, 2, 2048, 512, 512}));
 
 TEST(CycleCost, ToStringMentionsKeyFields) {
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);

@@ -206,7 +206,8 @@ struct Im2colCase {
   Dim ih, iw, k, ic, oc, stride, pad;
 };
 
-/// The case's test name and printed value: ifm7x9_k3_ic2_oc3_s1_p1.
+/// Prints the case as, e.g., ifm7x9_k3_ic2_oc3_s1_p1; ctest's discovered
+/// test names end in it in place of the case index.
 void PrintTo(const Im2colCase& c, std::ostream* os) {
   *os << "ifm" << c.ih << "x" << c.iw << "_k" << c.k << "_ic" << c.ic
       << "_oc" << c.oc << "_s" << c.stride << "_p" << c.pad;
@@ -240,8 +241,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Im2colCase{9, 9, 3, 2, 2, 2, 0},
                       Im2colCase{6, 6, 5, 3, 2, 1, 2},
                       Im2colCase{10, 7, 1, 3, 4, 1, 0},
-                      Im2colCase{12, 12, 7, 1, 2, 2, 3}),
-    [](const auto& info) { return ::testing::PrintToString(info.param); });
+                      Im2colCase{12, 12, 7, 1, 2, 2, 3}));
 
 // Grouped execution the way the pipeline runs it: slice each group's
 // channels, convolve through both backends (gemm reusing one workspace
