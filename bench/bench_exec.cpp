@@ -17,11 +17,15 @@
 /// that reference.  The gate is machine-relative: execute_plan (best of
 /// three) may take at most kMaxExecuteOverGemm times the gemm reference
 /// (best of three) on the same layer.  Crossbar execution costs each
-/// tile's bound rows x bound columns per cycle: on ResNet-18 conv2's
-/// vw-sdk plan that is 1.8x the layer's MACs (the shifted kernels'
-/// structural zeros), and on VGG-13 conv1's im2col plan (27 of 512 rows,
-/// 64 of 512 columns bound) exactly the convolution's MACs instead of
-/// the whole array's.
+/// tile's programmed cells per cycle, one packed block per column class:
+/// each section reports the MACs its crossbars run over the layer's
+/// convolution MACs, and checks exactly (machine-independent) that they
+/// equal the execution's activity.cell_macs.  A plan runs more MACs
+/// than the convolution only where clamped parallel windows overlap and
+/// recompute outputs: both sections run 1.0x, where ResNet-18 conv2's
+/// vw-sdk tiles used to multiply their whole bound blocks, 1.78x (the
+/// shifted kernels' structural zeros), and VGG-13 conv1's im2col plan
+/// binds 27 of 512 rows and 64 of 512 columns.
 ///
 /// The reference-scaling section runs the gemm reference on VGG-13
 /// conv2 (224x224, 3x3, 64 to 64: 50,176 windows) on one worker and on
@@ -77,11 +81,12 @@ double best_of_three_ms(Fn&& run) {
 /// Bound of the time gate: execute_plan over the gemm reference on the
 /// same layer, both fanned out over the shared pool.  Measured on a
 /// 4-vCPU VM (Release, and Debug under ASan and TSan): 1.2-2.5 on
-/// ResNet-18 conv2, whose vw-sdk tiles hold 1.8x the layer's MACs
-/// (structural zeros of the shifted kernels), and 1.3-4.1 on VGG-13
-/// conv1 im2col, where the per-cycle gather and commit weigh against
-/// 27 x 64 MACs.  Computing the whole array every cycle on one thread
-/// took 5.2 s on VGG-13 conv1, about 90x the reference.
+/// ResNet-18 conv2 while its vw-sdk tiles still multiplied 1.8x the
+/// layer's MACs (structural zeros of the shifted kernels) and 2.0-2.7
+/// in Release once they multiply only programmed cells, and 1.3-4.1 on
+/// VGG-13 conv1 im2col, where the per-cycle gather and commit weigh
+/// against 27 x 64 MACs.  Computing the whole array every cycle on one
+/// thread took 5.2 s on VGG-13 conv1, about 90x the reference.
 constexpr double kMaxExecuteOverGemm = 6.0;
 
 /// One "Crossbar execution" section: `mapper`'s plan for `shape` on
@@ -116,6 +121,20 @@ void crossbar_section(vwsdk::bench::JsonReporter& reporter,
   reporter.expect_true(
       cat(layer, ": crossbar OFM bitwise-identical to the gemm reference"),
       exactly_equal(executed.ofm, reference));
+  Count crossbar_macs = 0;
+  const Count cycles_per_tile =
+      plan.total_cycles() / static_cast<Count>(plan.tiles.size());
+  for (const ArrayTile& tile : plan.tiles) {
+    crossbar_macs +=
+        cycles_per_tile * program_tile(plan, tile, weights).block_cells();
+  }
+  reporter.expect_eq(cat(layer, ": crossbar MACs equal activity.cell_macs"),
+                     executed.activity.cell_macs, crossbar_macs);
+  const Count conv_macs =
+      shape.num_windows() * shape.kernel_volume() * shape.out_channels;
+  reporter.report_value(cat(layer, ": crossbar MACs over conv MACs (x)"),
+                        static_cast<double>(crossbar_macs) /
+                            static_cast<double>(conv_macs));
   reporter.report_value(cat(layer, ": gemm reference wall ms (best of 3)"),
                         gemm_ms);
   reporter.report_value(cat(layer, ": execute_plan wall ms (best of 3)"),

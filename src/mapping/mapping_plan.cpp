@@ -1,5 +1,6 @@
 #include "mapping/mapping_plan.h"
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 
@@ -30,25 +31,36 @@ Cycles MappingPlan::total_cycles() const {
 }
 
 Count MappingPlan::programmed_cells() const {
-  // The cell rule reads a column binding only through its window position
-  // and duplicate block, so columns that share both program the same
-  // rows: count those rows once per such column class and tile.
   Count total = 0;
-  std::map<std::tuple<Dim, Dim, Dim>, Count> class_cells;
   for (const ArrayTile& t : tiles) {
-    class_cells.clear();
-    for (const ColBinding& cb : t.cols) {
-      const auto [it, fresh] =
-          class_cells.try_emplace({cb.win_py, cb.win_px, cb.dup}, 0);
-      if (fresh) {
-        for (const RowBinding& rb : t.rows) {
-          it->second += cell_weight(shape, rb, cb).has_value() ? 1 : 0;
-        }
-      }
-      total = checked_add(total, it->second);
+    for (const CellBlock& c : column_classes(shape, t)) {
+      total = checked_add(
+          total, checked_mul(static_cast<Count>(c.rows.size()),
+                             static_cast<Count>(c.cols.size())));
     }
   }
   return total;
+}
+
+std::vector<CellBlock> column_classes(const ConvShape& shape,
+                                      const ArrayTile& tile) {
+  std::vector<CellBlock> classes;
+  std::map<std::tuple<Dim, Dim, Dim>, std::size_t> index;
+  for (const ColBinding& cb : tile.cols) {
+    const auto [it, fresh] =
+        index.try_emplace({cb.win_py, cb.win_px, cb.dup}, classes.size());
+    if (fresh) {
+      CellBlock& c = classes.emplace_back();
+      for (const RowBinding& rb : tile.rows) {
+        if (cell_weight(shape, rb, cb).has_value()) {
+          c.rows.push_back(rb.row);
+        }
+      }
+      std::sort(c.rows.begin(), c.rows.end());
+    }
+    classes[it->second].cols.push_back(cb.col);
+  }
+  return classes;
 }
 
 }  // namespace vwsdk

@@ -92,6 +92,17 @@ inline std::optional<KernelOffset> cell_weight(const ConvShape& shape,
   return KernelOffset{ky, kx};
 }
 
+/// The column classes of `tile`, one packed block each, in the order of
+/// their first column binding.  A class is the columns that share a
+/// window position and duplicate block: the cell rule reads a column
+/// binding only through those, so every column of a class programs the
+/// same rows, and its cells are exactly its block's `rows x cols` (rows
+/// ascending, columns in binding order).  Every column binding lies in
+/// exactly one block; a class whose window falls outside the tile's rows
+/// has no rows.
+std::vector<CellBlock> column_classes(const ConvShape& shape,
+                                      const ArrayTile& tile);
+
 /// Calls `fn(row_binding, col_binding, kernel_offset)` for every programmed
 /// cell of `tile`, column by column in binding order, rows in binding
 /// order within a column.
@@ -139,7 +150,8 @@ struct MappingPlan {
   /// base-grid positions (or SMD chunks) x tiles.
   Cycles total_cycles() const;
 
-  /// Total programmed cells across all tiles (derived by the cell rule).
+  /// Total programmed cells across all tiles: the rows x columns of every
+  /// tile's column classes.
   Count programmed_cells() const;
 };
 

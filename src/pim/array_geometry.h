@@ -29,6 +29,15 @@ struct ArrayGeometry {
   bool operator==(const ArrayGeometry&) const = default;
 };
 
+/// A packed block of an array's cells: `rows` (strictly ascending) by
+/// `cols` (distinct).  A mapping tile has one per column class
+/// (column_classes, mapping/mapping_plan.h); a Crossbar stores and
+/// multiplies its cells as one dense row-major matrix (pim/crossbar.h).
+struct CellBlock {
+  std::vector<Dim> rows;  ///< array rows, ascending
+  std::vector<Dim> cols;  ///< array columns, in read-out order
+};
+
 /// Parse "RxC" (e.g. "512x256", case-insensitive 'x').
 ArrayGeometry parse_geometry(const std::string& text);
 

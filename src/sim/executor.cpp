@@ -108,11 +108,8 @@ constexpr Count kItemsPerSlot = 2;
 /// hand-off once per thousands of cycles rather than per block.
 constexpr Count kWaveAccDoubles = Count{1} << 18;
 
-/// The crossbar of `tile`: its compact block spans the tile's bindings,
-/// programmed by the cell rule in for_each_cell order (so noise draws
-/// follow that order).  Rejects bindings outside the array or the layer,
-/// or naming an SMD block the plan does not have: the schedule loop
-/// indexes by them.
+}  // namespace
+
 Crossbar program_tile(const MappingPlan& plan, const ArrayTile& tile,
                       const Tensord& weights, NoiseModel* noise) {
   const ArrayGeometry& geometry = plan.geometry;
@@ -137,17 +134,19 @@ Crossbar program_tile(const MappingPlan& plan, const ArrayTile& tile,
                       " or layer ", plan.shape.to_string()));
     cols = std::max(cols, cb.col + 1);
   }
-  Crossbar array(geometry, rows, cols);
+  Crossbar array(geometry, rows, cols, column_classes(plan.shape, tile));
   for_each_cell(plan.shape, tile,
                 [&](const RowBinding& rb, const ColBinding& cb,
                     KernelOffset k) {
                   array.program(rb.row, cb.col,
                                 weights.at(cb.oc, rb.ic, k.ky, k.kx), noise);
                 });
+  VWSDK_ASSERT(array.programmed_cell_count() == array.block_cells(),
+               cat("tile (", tile.ar_index, ", ", tile.ac_index,
+                   ") programmed ", array.programmed_cell_count(),
+                   " of its ", array.block_cells(), " packed cells"));
   return array;
 }
-
-}  // namespace
 
 ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
                              const Tensord& weights,
@@ -168,7 +167,19 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
     expect_valid(plan);
   }
 
-  // --- Program one crossbar per tile, on its compact block. -----------
+  // The output outlives the crossbars and scratch below.  Allocated
+  // first, it lies below them in the heap, so the memory they free on
+  // return is at the top, where the next large allocation (the
+  // reference's output) can reuse it.  Allocated after them, it left a
+  // hole the size of the crossbars that no whole feature map fits, and
+  // with glibc malloc verify-table1's peak RSS then varied from 81 to
+  // 94 MB between runs.
+  ExecutionResult result;
+  result.ofm = Tensord::feature_map(shape.out_channels,
+                                    static_cast<Dim>(shape.windows_h()),
+                                    static_cast<Dim>(shape.windows_w()));
+
+  // --- Program one crossbar per tile, one packed block per class. -----
   std::optional<NoiseModel> noise;
   if (options.noise.enabled()) {
     noise.emplace(options.noise, options.noise_seed);
@@ -190,12 +201,9 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   // Every tile runs every cycle, so the activity is closed-form.
   const Count n_cycles =
       plan.total_cycles() / static_cast<Count>(plan.tiles.size());
-  ExecutionResult result;
-  result.ofm = Tensord::feature_map(shape.out_channels,
-                                    static_cast<Dim>(shape.windows_h()),
-                                    static_cast<Dim>(shape.windows_w()));
   Count max_rows = 1;
   Count acc_cols = 1;
+  Count mvm_scratch = 0;
   Count macs_per_cycle = 0;
   for (std::size_t t = 0; t < arrays.size(); ++t) {
     const Crossbar& array = arrays[t];
@@ -210,7 +218,8 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
     result.activity.cell_macs += n_cycles * array.programmed_cell_count();
     max_rows = std::max<Count>(max_rows, array.bound_rows());
     acc_cols = std::max<Count>(acc_cols, array.bound_cols());
-    macs_per_cycle += Count{array.bound_rows()} * array.bound_cols();
+    mvm_scratch = std::max(mvm_scratch, array.scratch_size(kBlockCycles));
+    macs_per_cycle += array.block_cells();
   }
   result.cycles = result.activity.cycles;
 
@@ -229,15 +238,16 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
                   shape.windows_w(), check_consistency};
 
   // One schedule loop for every plan kind.  A work item is one block of
-  // kBlockCycles cycles on one AC band: it gathers each AR tile's inputs,
-  // computes the block on that tile's crossbar, and sums the AR partial
-  // read-outs in ascending AR into its own accumulator.  Items are
-  // independent, so a wave of them fans out over the pool, each slot
-  // reusing its own gather and read-out scratch.  The wave then commits
-  // in schedule order (cycle-major, AC-minor) split by output channel:
-  // each slot commits the read-outs of its own block of channels, so no
-  // two slots write one output, and the last writer of an overlapping
-  // output is still the cycle-by-cycle walk's.
+  // kBlockCycles cycles on one AC band: it gathers each AR tile's drive
+  // vectors, and the tile's crossbar multiplies each packed block once
+  // and adds its read-outs into the item's own accumulator, AR tiles in
+  // ascending order.  Items are independent, so a wave of them fans out
+  // over the pool, each slot reusing its own drive and MVM scratch,
+  // sized once per call.  The wave then commits in schedule order
+  // (cycle-major, AC-minor) split by output channel: each slot commits
+  // the read-outs of its own block of channels, so no two slots write
+  // one output, and the last writer of an overlapping output is still
+  // the cycle-by-cycle walk's.
   const Dim dups = plan.cost.smd_duplicates;
   const bool fan_out =
       pool.size() > 1 && n_cycles * macs_per_cycle >= kParallelCutoffMacs;
@@ -248,12 +258,12 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   const Count wave_cycles = wave_blocks * kBlockCycles;
   struct Scratch {
     std::vector<double> input;
-    std::vector<double> read_out;
+    std::vector<double> mvm;
   };
   std::vector<Scratch> scratch(static_cast<std::size_t>(slots));
   for (Scratch& s : scratch) {
     s.input.resize(static_cast<std::size_t>(kBlockCycles * max_rows));
-    s.read_out.resize(static_cast<std::size_t>(kBlockCycles * acc_cols));
+    s.mvm.resize(static_cast<std::size_t>(mvm_scratch));
   }
   std::vector<double> acc(
       static_cast<std::size_t>(wave_blocks * n_ac * kBlockCycles * acc_cols));
@@ -285,7 +295,6 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
       const Crossbar& array =
           arrays[static_cast<std::size_t>(ar * n_ac + ac)];
       const Count rows = array.bound_rows();
-      const Count cols = array.bound_cols();
       double* input = s.input.data();
       std::fill(input, input + batch * rows, 0.0);
       for (Count i = 0; i < batch; ++i) {
@@ -299,15 +308,7 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
           }
         }
       }
-      double* read_out = s.read_out.data();
-      array.compute({input, static_cast<std::size_t>(batch * rows)},
-                    {read_out, static_cast<std::size_t>(batch * cols)},
-                    options.adc);
-      for (Count i = 0; i < batch; ++i) {
-        for (Count j = 0; j < cols; ++j) {
-          band[i * acc_cols + j] += read_out[i * cols + j];
-        }
-      }
+      array.accumulate(input, batch, band, acc_cols, options.adc, s.mvm);
     }
   };
 

@@ -3,17 +3,19 @@
 /// @file executor.h
 /// Functional execution of a MappingPlan on crossbar arrays.
 ///
-/// The executor programs one Crossbar per (AR, AC) tile, on the compact
-/// block of rows and columns the tile binds (pim/crossbar.h), then walks
-/// the schedule in one loop for every plan kind.  A cycle is one base of
-/// the parallel-window grid (an SMD cycle: one chunk of D windows), and
-/// every cycle of a tile drives the same programmed array, so a block of
+/// The executor programs one Crossbar per (AR, AC) tile, storing one
+/// packed block per column class of the tile (column_classes,
+/// mapping/mapping_plan.h; pim/crossbar.h), then walks the schedule in
+/// one loop for every plan kind.  A cycle is one base of the
+/// parallel-window grid (an SMD cycle: one chunk of D windows), and every
+/// cycle of a tile drives the same programmed array, so a block of
 /// cycles on one AC band is one work item: per AR tile it gathers the
-/// input-feature-map values the row bindings name, computes the block
-/// as one batched MVM on the bound block (ADC model applied per
-/// read-out), and accumulates the AR partial sums in ascending AR.
-/// Execution thus costs each tile's bound rows x bound columns per
-/// cycle, not the whole array.
+/// input-feature-map values the row bindings name, multiplies each
+/// packed block once on its own rows' taps, and adds the read-outs (ADC
+/// model applied per column) into the AR partial sums in ascending AR.
+/// Execution thus costs each tile's programmed cells per cycle --
+/// `activity.cell_macs` in all -- not the structural zeros of the
+/// shifted kernels, nor the whole array.
 ///
 /// Work items are independent, so waves of them fan out over a thread
 /// pool -- by default `shared_pool()`, the pool the gemm reference
@@ -40,6 +42,7 @@
 #include "common/thread_pool.h"
 #include "mapping/mapping_plan.h"
 #include "pim/adc.h"
+#include "pim/crossbar.h"
 #include "pim/energy_model.h"
 #include "pim/noise.h"
 #include "tensor/tensor.h"
@@ -67,6 +70,15 @@ struct ExecutionResult {
   EnergyReport activity{};    ///< rows driven / cols read / cell MACs
   Count programmed_cells = 0; ///< total cells programmed across tiles
 };
+
+/// The crossbar of `tile`: one packed block per column class inside the
+/// block the tile's bindings span, programmed by the cell rule in
+/// for_each_cell order (so noise draws follow that order; `noise` may be
+/// null).  Rejects bindings outside the array or the layer, or naming an
+/// SMD block the plan does not have: the schedule loop indexes by them.
+/// Its block_cells() equal its programmed cells.
+Crossbar program_tile(const MappingPlan& plan, const ArrayTile& tile,
+                      const Tensord& weights, NoiseModel* noise = nullptr);
 
 /// Execute `plan` on the given input and weights.  The work items fan
 /// out over `pool`, by default the process-wide shared_pool() (tests pin

@@ -121,8 +121,9 @@ struct NetworkVerifyResult {
 /// backend `options.ref_backend` resolves to.  The backend is resolved
 /// before any layer runs.  Grouped layers verify one group's
 /// sub-convolution (all groups are identical).  Each layer runs through
-/// run_layer without a shared workspace, so no reference scratch outlives
-/// its layer.  A mismatch is reported per layer, never thrown.
+/// run_layer; every layer shares one reference workspace, which holds at
+/// most one im2col panel per worker.  A mismatch is reported per layer,
+/// never thrown.
 NetworkVerifyResult verify_network(const Network& network,
                                    const Mapper& mapper,
                                    const ArrayGeometry& geometry,

@@ -17,8 +17,9 @@
 ///
 /// The multiply-accumulate itself is `gemm_accumulate`, the one MVM
 /// kernel of the repo: the crossbar simulator (pim/crossbar.h) runs a
-/// tile's batch of computing cycles through it as well, on the compact
-/// block of cells the tile binds.  It is written once over a GCC/Clang
+/// tile's batch of computing cycles through it as well, once per packed
+/// block (one per column class: the rows its shifted kernel covers by
+/// the columns that share its window position).  It is written once over a GCC/Clang
 /// vector type and instantiated twice: on four-double vectors compiled
 /// for AVX2, and on two-double vectors as the portable fallback.  The
 /// first call picks AVX2 when the CPU has it (x86-64 only) and the
@@ -36,8 +37,12 @@
 /// element is computed wholly by one work item, and zero operands are not
 /// skipped -- so the result is bitwise identical for any thread count,
 /// and bitwise identical to conv2d_direct on integer-valued tensors
-/// (integer sums are exact in double regardless of association).  Each
-/// term is a rounded multiply followed by a rounded add, `c = c + a*b`,
+/// (integer sums are exact in double regardless of association).  Zero
+/// operands are kept in the reference and in a crossbar's programmed
+/// cells, zero weights included.  A crossbar's structural zeros, the
+/// cells outside every packed block, are not operands at all:
+/// pim/crossbar.h shows why dropping them keeps every read-out's bits.
+/// Each term is a rounded multiply followed by a rounded add, `c = c + a*b`,
 /// on either instantiation, so gemm_accumulate equals the naive scalar
 /// loop bit for bit on any doubles.  That needs `-ffp-contract=off`
 /// (set for GCC and Clang in CMakeLists.txt): GCC's C++ default, `fast`,

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "mapping/plan_validate.h"
 
@@ -217,6 +222,60 @@ TEST(PlanBuilder, ProgrammedCellCountsMatchAnalyticWeights) {
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
   const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   EXPECT_EQ(plan.programmed_cells(), 9LL * 9 * 2 * 40);
+}
+
+TEST(PlanBuilder, ColumnClassesPartitionTheCellsOfEveryPlanKind) {
+  // One plan of each kind, with AR and AC splits: a tile's column classes
+  // hold every column binding once, their rows ascend, and their
+  // rows x columns are exactly the cells the cell rule programs.
+  const ConvShape windowed = ConvShape::square(8, 3, 9, 40);
+  const ConvShape dense = ConvShape::square(6, 3, 8, 10);
+  const ConvShape small = ConvShape::square(6, 3, 1, 2);
+  const std::vector<MappingPlan> plans = {
+      build_plan_for_cost(windowed, kSmall, vw_cost(windowed, kSmall, {4, 3})),
+      build_plan_for_cost(windowed, kSmall,
+                          sdk_cost(windowed, kSmall, {6, 6})),
+      build_plan_for_cost(dense, kSmall, im2col_cost(dense, kSmall)),
+      build_plan_for_cost(small, kSmall, smd_cost(small, kSmall)),
+  };
+  ASSERT_EQ(plans[0].kind, PlanKind::kWindowed);
+  ASSERT_EQ(plans[1].kind, PlanKind::kWindowedSplit);
+  ASSERT_EQ(plans[2].kind, PlanKind::kIm2colDense);
+  ASSERT_EQ(plans[3].kind, PlanKind::kSmd);
+  for (const MappingPlan& plan : plans) {
+    Count total = 0;
+    for (const ArrayTile& tile : plan.tiles) {
+      std::set<std::pair<Dim, Dim>> rule_cells;
+      for_each_cell(plan.shape, tile,
+                    [&](const RowBinding& rb, const ColBinding& cb,
+                        KernelOffset) {
+                      rule_cells.insert({rb.row, cb.col});
+                    });
+      std::set<std::pair<Dim, Dim>> class_cells;
+      std::vector<Dim> class_cols;
+      for (const CellBlock& c : column_classes(plan.shape, tile)) {
+        EXPECT_TRUE(std::is_sorted(c.rows.begin(), c.rows.end()));
+        for (const Dim col : c.cols) {
+          class_cols.push_back(col);
+          for (const Dim row : c.rows) {
+            class_cells.insert({row, col});
+          }
+        }
+        total += static_cast<Count>(c.rows.size() * c.cols.size());
+      }
+      std::vector<Dim> tile_cols;
+      for (const ColBinding& cb : tile.cols) {
+        tile_cols.push_back(cb.col);
+      }
+      std::sort(class_cols.begin(), class_cols.end());
+      std::sort(tile_cols.begin(), tile_cols.end());
+      EXPECT_EQ(class_cols, tile_cols);
+      EXPECT_EQ(class_cells, rule_cells);
+      EXPECT_EQ(static_cast<Count>(rule_cells.size()),
+                tile_cells(plan, tile));
+    }
+    EXPECT_EQ(total, plan.programmed_cells());
+  }
 }
 
 }  // namespace

@@ -188,6 +188,68 @@ TEST(Crossbar, CompactBlockMatchesTheFullArrayBitwise) {
   }
 }
 
+TEST(Crossbar, PackedBlocksMatchTheSameCellsInOneFullBlockBitwise) {
+  // Three packed blocks -- rows {0, 2, 3, 5} x columns {4, 1}, rows
+  // {1, 2, 4} x columns {0, 3}, and a block with no rows for column 2 --
+  // against the same cells on one full block, where every other cell is
+  // an unprogrammed zero.  Non-integer signed weights, programmed zeros,
+  // and ADCs whose code for 0 is 0 and is not 0: every column must read
+  // out the same bits.
+  const ArrayGeometry geometry{8, 6};
+  std::vector<CellBlock> blocks = {
+      {{0, 2, 3, 5}, {4, 1}}, {{1, 2, 4}, {0, 3}}, {{}, {2}}};
+  NoiseModel noise_full({0.05, 0.01}, 5);
+  NoiseModel noise_packed({0.05, 0.01}, 5);
+  Crossbar full(geometry, 6, 5);
+  Crossbar packed(geometry, 6, 5, blocks);
+  EXPECT_EQ(packed.block_cells(), 4 * 2 + 3 * 2);
+  int n = 0;
+  for (const CellBlock& block : blocks) {
+    for (const Dim col : block.cols) {
+      for (const Dim row : block.rows) {
+        const double weight = (n % 5 == 2) ? 0.0 : 0.43 * (row - 2.5) +
+                                                        0.17 * (col - 1);
+        full.program(row, col, weight, &noise_full);
+        packed.program(row, col, weight, &noise_packed);
+        ++n;
+      }
+    }
+  }
+  EXPECT_EQ(packed.programmed_cell_count(), packed.block_cells());
+  EXPECT_EQ(packed.cell(0, 0), 0.0);  // structural zero
+  EXPECT_THROW(packed.program(0, 0, 1.0), InvalidArgument);
+  EXPECT_THROW(packed.program(1, 2, 1.0), InvalidArgument);
+  const std::vector<double> input = {0.9,  -1.3, 0.0,  2.25, -0.75, 0.5,
+                                     -0.6, 1.05, -2.1, 0.35, 0.0,   1.7,
+                                     0.0,  0.0,  0.0,  0.0,  0.0,   0.0};
+  for (const ConverterModel& adc :
+       {ConverterModel{}, ConverterModel(6, -4.0, 4.0),
+        ConverterModel(3, -1.0, 2.0)}) {
+    const std::vector<double> expected = run(full, input, adc);
+    const std::vector<double> actual = run(packed, input, adc);
+    ASSERT_EQ(actual.size(), expected.size());
+    EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                          expected.size() * sizeof(double)),
+              0);
+  }
+}
+
+TEST(Crossbar, PackedBlocksMustBeDisjointAndAscending) {
+  const ArrayGeometry geometry{8, 6};
+  using Blocks = std::vector<CellBlock>;
+  EXPECT_THROW(Crossbar(geometry, 4, 3, Blocks{{{1, 0}, {0}}}),
+               InvalidArgument);  // rows out of order
+  EXPECT_THROW(Crossbar(geometry, 4, 3, Blocks{{{1, 1}, {0}}}),
+               InvalidArgument);  // a row twice
+  EXPECT_THROW(Crossbar(geometry, 4, 3, Blocks{{{0}, {0}}, {{1}, {0}}}),
+               InvalidArgument);  // a column in two blocks
+  EXPECT_THROW(Crossbar(geometry, 4, 3, Blocks{{{4}, {0}}}),
+               InvalidArgument);  // row outside the bound block
+  EXPECT_THROW(Crossbar(geometry, 4, 3, Blocks{{{0}, {3}}}),
+               InvalidArgument);  // column outside the bound block
+  EXPECT_NO_THROW(Crossbar(geometry, 4, 3, Blocks{}));
+}
+
 TEST(Crossbar, ComputeRejectsWrongOutputLength) {
   const Crossbar array({4, 4}, 2, 3);
   const std::vector<double> input = {1.0, 2.0, 3.0, 4.0};  // 2 cycles

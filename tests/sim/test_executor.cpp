@@ -94,6 +94,51 @@ TEST(Executor, ProgrammedCellsReported) {
   EXPECT_EQ(result.programmed_cells, plan.programmed_cells());
 }
 
+TEST(Executor, PackedCrossbarsRunExactlyTheProgrammedCells) {
+  // For every plan kind, the cells the tiles' packed crossbars hold add
+  // up to the plan's programmed cells, and one cycle of each tile runs
+  // exactly those: crossbar MACs equal activity.cell_macs.
+  const ConvShape windowed = ConvShape::square(18, 3, 8, 12);
+  const ConvShape split = ConvShape::square(8, 3, 9, 40);
+  const ConvShape dense = ConvShape::square(6, 3, 8, 10);
+  const ConvShape smd = ConvShape::square(20, 3, 2, 4);
+  const std::vector<MappingPlan> plans = {
+      build_plan_for_cost(windowed, kSmall,
+                          vw_cost(windowed, kSmall, {4, 3})),
+      build_plan_for_cost(split, kSmall, sdk_cost(split, kSmall, {6, 6})),
+      build_plan_for_cost(dense, kSmall, im2col_cost(dense, kSmall)),
+      build_plan_for_cost(smd, kSmall, smd_cost(smd, kSmall)),
+  };
+  ASSERT_EQ(plans[0].kind, PlanKind::kWindowed);
+  ASSERT_EQ(plans[1].kind, PlanKind::kWindowedSplit);
+  ASSERT_EQ(plans[2].kind, PlanKind::kIm2colDense);
+  ASSERT_EQ(plans[3].kind, PlanKind::kSmd);
+  for (const MappingPlan& plan : plans) {
+    const auto [ifm, weights] = sample_tensors(plan.shape, 6);
+    Count held = 0;
+    Count bound = 0;
+    for (const ArrayTile& tile : plan.tiles) {
+      const Crossbar array = program_tile(plan, tile, weights);
+      EXPECT_EQ(array.programmed_cell_count(), array.block_cells());
+      held += array.block_cells();
+      bound += Count{array.bound_rows()} * array.bound_cols();
+    }
+    EXPECT_EQ(held, plan.programmed_cells()) << plan.shape.to_string();
+    const Count cycles =
+        plan.total_cycles() / static_cast<Count>(plan.tiles.size());
+    const ExecutionResult result = execute_plan(plan, ifm, weights);
+    EXPECT_EQ(held * cycles, result.activity.cell_macs);
+    EXPECT_EQ(result.activity.cell_macs,
+              analytic_activity(plan.shape, plan.geometry, plan.cost)
+                  .cell_macs);
+    // Windowed tiles hold several shifted kernels, so their bound blocks
+    // carry structural zeros the packed blocks drop.
+    if (plan.kind == PlanKind::kWindowed) {
+      EXPECT_LT(held, bound);
+    }
+  }
+}
+
 TEST(Executor, RejectsMismatchedTensors) {
   const MappingPlan plan = sample_plan();
   const auto [ifm, weights] = sample_tensors(plan.shape, 5);

@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Thirteen rules, each enforcing a contract the
+tools/check_doc_comments.py.  Fourteen rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -60,6 +60,11 @@ codebase documents elsewhere:
                    dense or grouped, runs map -> build -> execute ->
                    reference -> compare through run_layer, so stage hooks
                    have one seam.  Declarations and definitions are exempt.
+  cell-rule        `cell_weight(` is called in src/ only under
+                   src/mapping/ -- the executor and the crossbar reach a
+                   tile's cells through column_classes and for_each_cell
+                   (mapping/mapping_plan.h), so the cell rule is read in
+                   one place and execution stays on the packed blocks.
   env-reads        getenv appears in src/ only in common/thread_pool.cpp
                    (VWSDK_THREADS) and tensor/exec_backend.cpp
                    (VWSDK_REF_BACKEND) -- every environment knob is a
@@ -634,6 +639,29 @@ def rule_verify_driver(tree: dict[str, str]) -> list[Failure]:
     return failures
 
 
+CELL_RULE_HOME = "src/mapping/"
+CELL_RULE_RE = re.compile(r"\bcell_weight\s*\(")
+
+
+def rule_cell_rule(tree: dict[str, str]) -> list[Failure]:
+    """The cell rule is read once: outside src/mapping/ no src/ file may
+    call cell_weight -- walk a tile's cells with for_each_cell or its
+    packed blocks with column_classes (mapping/mapping_plan.h)."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path.startswith(CELL_RULE_HOME):
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for match in CELL_RULE_RE.finditer(code):
+            failures.append(
+                f"{path}:{line_of(code, match.start())}: cell_weight called "
+                "outside src/mapping/ -- walk the tile with for_each_cell or "
+                "column_classes (mapping/mapping_plan.h)")
+    return failures
+
+
 # --------------------------------------------------------------------------
 # Rule: env-reads
 # --------------------------------------------------------------------------
@@ -841,6 +869,14 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/serve/service.cpp":
             "return vwsdk::reference_convolution(plan, ifm, weights);",
     }),
+    ("cell-rule", rule_cell_rule, {
+        "src/sim/executor.cpp": (
+            "if (const auto k = cell_weight(plan.shape, rb, cb)) {}\n"),
+    }),
+    ("cell-rule", rule_cell_rule, {
+        "src/pim/crossbar.cpp":
+            "return vwsdk::cell_weight (shape, row, col).has_value();",
+    }),
     ("env-reads", rule_env_reads, {
         "src/sim/executor.cpp":
             'const char* mode = std::getenv("VWSDK_FAST");',
@@ -937,6 +973,19 @@ CLEAN_TREES = [
             "// execute_plan(plan, ifm, weights) runs in the driver\n"
             "const char* stage = \"reference_convolution\";\n"),
     }),
+    (rule_cell_rule, {
+        "src/mapping/mapping_plan.h": (
+            "inline std::optional<KernelOffset> cell_weight(\n"
+            "    const ConvShape& shape) {}\n"
+            "if (const auto k = cell_weight(shape, rb, cb)) {}\n"),
+        "src/mapping/mapping_plan.cpp":
+            "if (cell_weight(shape, rb, cb).has_value()) {}",
+        # a comment, and the walks execution uses
+        "src/sim/ok.cpp": (
+            "// cell_weight(shape, rb, cb) is the cell rule\n"
+            "for_each_cell(shape, tile, fn);\n"
+            "const auto classes = column_classes(shape, tile);\n"),
+    }),
     (rule_env_reads, {
         "src/common/thread_pool.cpp":
             'const char* env = std::getenv("VWSDK_THREADS");',
@@ -990,6 +1039,7 @@ RULES = [
     ("window-scan", rule_window_scan),
     ("plan-layout", rule_plan_layout),
     ("verify-driver", rule_verify_driver),
+    ("cell-rule", rule_cell_rule),
     ("env-reads", rule_env_reads),
     ("isa-dispatch", rule_isa_dispatch),
 ]
